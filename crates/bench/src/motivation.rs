@@ -16,7 +16,7 @@
 //! versatile and scalable complement to other fault-tolerance schemes"*.
 
 use crate::report::{Figure, Scale, Series};
-use preflight_core::{preprocess_image, AlgoNgst, Image, Sensitivity, Upsilon};
+use preflight_core::{AlgoNgst, Image, Preprocessor, Sensitivity, Upsilon};
 use preflight_faults::{seeded_rng, Uncorrelated};
 use preflight_redundancy::{run_nvp, ChecksumMatrix, NvpOutcome, VersionFault};
 
@@ -96,7 +96,7 @@ fn trial(fault_class: usize, seed: u64) -> [f64; 4] {
             // Input preprocessing: repair first, then compute.
             let mut repaired = corrupted.clone();
             let algo = AlgoNgst::new(Upsilon::FOUR, Sensitivity::new(80).expect("valid Λ"));
-            preprocess_image(&algo, &mut repaired);
+            Preprocessor::new(algo).run_image(&mut repaired);
             let pre = rel_err(&truth, &square(&to_f64(&repaired)));
 
             [unprotected, abft, nvp, pre]

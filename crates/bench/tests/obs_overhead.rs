@@ -1,12 +1,13 @@
 //! Zero-overhead guard for the observability layer.
 //!
 //! The PR 2 throughput contract (`BENCH_preprocess.json`) was measured
-//! through the free-function drivers. Those are now deprecated shims over
-//! [`Preprocessor`], whose default handle is `Obs::disabled()` — so the
-//! guard here is that a builder run with observability *off* stays within
-//! 5 % of the PR 2 entry point on the same machine, same process, same
-//! input (cross-machine wall-clock comparisons against the checked-in
-//! JSON would only measure the CI host). A second, looser check keeps the
+//! through a bare tiled loop. [`Preprocessor`] wraps that loop in spans,
+//! counters and the tuner hook, whose default handle is `Obs::disabled()`
+//! — so the guard here is that a builder run with observability *off*
+//! stays within 5 % of the same loop written out by hand (gather, one
+//! `preprocess_batch` call, scatter per tile) on the same machine, same
+//! process, same input (cross-machine wall-clock comparisons against the
+//! checked-in JSON would only measure the CI host). A second, looser check keeps the
 //! *enabled* path honest: attaching a live registry must not blow up the
 //! hot loop, since per-tile instrumentation is one histogram observe and
 //! the counters are flushed once per run.
@@ -18,15 +19,49 @@
 //! additionally interleaves its repetitions so a transient background
 //! load spike cannot inflate only one side's entire sample.
 
-#![allow(deprecated)] // the PR 2 shim IS the baseline under test
-
 use preflight_bench::perf::{perf_algo, sample_u16, synthetic_stack};
-use preflight_core::{preprocess_stack_tiled, ImageStack, Preprocessor, DEFAULT_TILE};
+use preflight_core::{
+    BatchLayout, Exec, ImageStack, Kernel, Preprocessor, SeriesPreprocessor, VoterScratch,
+    DEFAULT_TILE,
+};
 use preflight_obs::Obs;
 use std::sync::Mutex;
 use std::time::Instant;
 
 static TIMING_GATE: Mutex<()> = Mutex::new(());
+
+/// The bare tiled loop the builder wraps: every `tile`-sided block of
+/// `stack` gathered in the algorithm's layout, repaired with one reused
+/// scratch and observability disabled, scattered back.
+fn hand_tiled(algo: &impl SeriesPreprocessor<u16>, stack: &mut ImageStack<u16>, tile: usize) {
+    let kernel = Kernel::default();
+    let layout = algo.batch_layout(kernel);
+    let frames = stack.frames();
+    let mut scratch = VoterScratch::with_capacity(frames);
+    let obs = Obs::disabled();
+    let mut cx = Exec {
+        kernel,
+        scratch: &mut scratch,
+        obs: &obs,
+        decision: None,
+    };
+    let mut buf = Vec::new();
+    for ty in (0..stack.height()).step_by(tile) {
+        let th = tile.min(stack.height() - ty);
+        for tx in (0..stack.width()).step_by(tile) {
+            let tw = tile.min(stack.width() - tx);
+            match layout {
+                BatchLayout::SeriesMajor => stack.gather_tile_series(tx, ty, tw, th, &mut buf),
+                BatchLayout::TimeMajor => stack.gather_tile_time_major(tx, ty, tw, th, &mut buf),
+            }
+            algo.preprocess_batch(&mut buf, frames, &mut cx);
+            match layout {
+                BatchLayout::SeriesMajor => stack.scatter_tile_series(tx, ty, tw, th, &buf),
+                BatchLayout::TimeMajor => stack.scatter_tile_time_major(tx, ty, tw, th, &buf),
+            }
+        }
+    }
+}
 
 fn timed_pass(input: &ImageStack<u16>, pass: &mut impl FnMut(&mut ImageStack<u16>)) -> f64 {
     let mut work = input.clone();
@@ -81,15 +116,23 @@ fn disabled_observability_stays_within_5_percent_of_the_pr2_baseline() {
     let reps = 7;
 
     let builder = Preprocessor::new(&algo).tile(DEFAULT_TILE); // obs disabled by default
+
+    // The baseline must do the builder's work, byte for byte.
+    let (mut by_hand, mut by_builder) = (input.clone(), input.clone());
+    hand_tiled(&algo, &mut by_hand, DEFAULT_TILE);
+    builder.run(&mut by_builder);
+    assert_eq!(
+        by_hand, by_builder,
+        "the hand-written loop must match the builder"
+    );
+
     let (baseline, disabled) = measured_with_retry(
         3,
         || {
             best_secs_interleaved(
                 reps,
                 &input,
-                |s| {
-                    preprocess_stack_tiled(&algo, s, DEFAULT_TILE);
-                },
+                |s| hand_tiled(&algo, s, DEFAULT_TILE),
                 |s| {
                     builder.run(s);
                 },
@@ -100,7 +143,7 @@ fn disabled_observability_stays_within_5_percent_of_the_pr2_baseline() {
 
     assert!(
         disabled <= baseline * 1.05,
-        "obs-disabled builder regressed >5% vs the PR 2 driver: \
+        "obs-disabled builder regressed >5% vs the bare tiled loop: \
          {disabled:.6}s vs {baseline:.6}s"
     );
 }

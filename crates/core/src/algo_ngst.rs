@@ -8,12 +8,12 @@
 //! regions — the property that lets it beat the static baselines in Figures
 //! 2 and 4 of the paper.
 
-use crate::container::ImageStack;
 use crate::error::CoreError;
 use crate::kernel::Kernel;
 use crate::pixel::BitPixel;
 use crate::sensitivity::{Sensitivity, Upsilon};
-use crate::traits::{BatchLayout, SeriesPreprocessor};
+use crate::traits::{each_series, BatchLayout, Exec, SeriesPreprocessor};
+use crate::tuning::TuneDecision;
 use crate::voter::{VoterMatrix, VoterScratch};
 use crate::window::BitWindows;
 use preflight_obs::Obs;
@@ -119,6 +119,27 @@ impl AlgoNgst {
         }
     }
 
+    /// The algorithm a frozen tuner decision asks for: the decision's λ/Υ
+    /// and its bit windows frozen via `static_windows` (the same freezing
+    /// mechanism as ablation A2). The other switches are kept, and `self`
+    /// (the requested configuration) is untouched.
+    pub fn tuned(&self, decision: &TuneDecision) -> AlgoNgst {
+        AlgoNgst::with_config(
+            decision.upsilon,
+            decision.lambda,
+            NgstConfig {
+                static_windows: Some((decision.window_a_bits, decision.window_c_bits)),
+                ..self.config
+            },
+        )
+    }
+
+    /// This algorithm, or [`tuned`](Self::tuned) to `decision` if one is
+    /// in force.
+    fn resolve(&self, decision: Option<&TuneDecision>) -> AlgoNgst {
+        decision.map_or(*self, |d| self.tuned(d))
+    }
+
     /// Repairs `series` in place, returning the number of modified samples.
     ///
     /// All corrections are computed from the *original* series (the voter
@@ -132,60 +153,55 @@ impl AlgoNgst {
     /// and returns `Ok(0)` (the header-sanity-only mode of §3.2 — header
     /// checking itself lives in `preflight-fits`).
     pub fn try_preprocess<T: BitPixel>(&self, series: &mut [T]) -> Result<usize, CoreError> {
-        self.try_preprocess_with(series, &mut VoterScratch::new())
+        self.try_preprocess_in(
+            series,
+            &mut Exec {
+                kernel: Kernel::default(),
+                scratch: &mut VoterScratch::new(),
+                obs: &Obs::disabled(),
+                decision: None,
+            },
+        )
     }
 
-    /// [`AlgoNgst::try_preprocess`] with caller-provided scratch buffers:
-    /// identical results, but the XOR-diff, plane and correction buffers are
-    /// reused across series instead of reallocated, so a worker looping over
-    /// a tile of series reaches a zero-alloc steady state. Runs the default
-    /// [`Kernel`] (the bit-sliced kernel).
+    /// [`AlgoNgst::try_preprocess`] in an explicit execution context: the
+    /// voter [`Kernel`], scratch buffers reused across series (a worker
+    /// looping over a tile reaches a zero-alloc steady state), the observer
+    /// the bit-sliced kernel's spans land in, and — when `cx.decision` is
+    /// set — the [`tuned`](Self::tuned) algorithm instead of this one.
+    /// Every kernel produces bit-identical results (property tested in
+    /// `tests/kernel_identical.rs`).
     ///
     /// # Errors
     /// Same contract as [`AlgoNgst::try_preprocess`].
-    pub fn try_preprocess_with<T: BitPixel>(
+    pub fn try_preprocess_in<T: BitPixel>(
         &self,
         series: &mut [T],
-        scratch: &mut VoterScratch<T>,
+        cx: &mut Exec<'_, T>,
     ) -> Result<usize, CoreError> {
-        self.try_preprocess_kernel(series, scratch, Kernel::default())
-    }
-
-    /// [`AlgoNgst::try_preprocess_with`] with an explicit [`Kernel`]
-    /// selection. Every kernel produces bit-identical results (property
-    /// tested in `tests/kernel_identical.rs`); the knob only chooses how the
-    /// voter arithmetic is scheduled.
-    ///
-    /// # Errors
-    /// Same contract as [`AlgoNgst::try_preprocess`].
-    pub fn try_preprocess_kernel<T: BitPixel>(
-        &self,
-        series: &mut [T],
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-    ) -> Result<usize, CoreError> {
-        self.try_preprocess_exec(series, scratch, kernel, &Obs::disabled())
-    }
-
-    fn try_preprocess_exec<T: BitPixel>(
-        &self,
-        series: &mut [T],
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-    ) -> Result<usize, CoreError> {
-        if self.sensitivity.is_off() {
+        let algo = self.resolve(cx.decision);
+        if algo.sensitivity.is_off() {
             return Ok(0);
         }
         let mut total = 0;
-        for _ in 0..self.config.passes.max(1) {
-            let changed = self.one_pass(series, scratch, kernel, obs)?;
+        for _ in 0..algo.config.passes.max(1) {
+            let changed = algo.one_pass(series, cx.scratch, cx.kernel, cx.obs)?;
             total += changed;
             if changed == 0 {
                 break;
             }
         }
         Ok(total)
+    }
+
+    fn bitslice_params(&self) -> crate::bitslice::BitsliceParams {
+        crate::bitslice::BitsliceParams {
+            upsilon: self.upsilon,
+            sensitivity: self.sensitivity,
+            msb_margin: self.config.msb_margin_bits,
+            static_windows: self.config.static_windows,
+            use_grt: self.config.use_grt,
+        }
     }
 
     /// One analyze-and-repair round: build the voter matrix, compute every
@@ -203,14 +219,7 @@ impl AlgoNgst {
             // The bit-sliced kernel estimates cut-offs, derives windows and
             // applies corrections itself, entirely in bit-plane space (and
             // bit-identically to the path below).
-            let params = crate::bitslice::BitsliceParams {
-                upsilon: self.upsilon,
-                sensitivity: self.sensitivity,
-                msb_margin: self.config.msb_margin_bits,
-                static_windows: self.config.static_windows,
-                use_grt: self.config.use_grt,
-            };
-            return crate::bitslice::bitsliced_pass(&params, series, scratch, obs);
+            return crate::bitslice::bitsliced_pass(&self.bitslice_params(), series, scratch, obs);
         }
         let vm = VoterMatrix::build_with_scratch(
             series,
@@ -249,78 +258,41 @@ impl<T: BitPixel> SeriesPreprocessor<T> for AlgoNgst {
         "Algo_NGST"
     }
 
-    /// Infallible wrapper over [`AlgoNgst::try_preprocess`]: series too short
-    /// for Υ are left untouched (returns 0).
-    fn preprocess(&self, series: &mut [T]) -> usize {
-        self.try_preprocess(series).unwrap_or(0)
-    }
-
-    /// Infallible wrapper over [`AlgoNgst::try_preprocess_with`].
-    fn preprocess_with(&self, series: &mut [T], scratch: &mut VoterScratch<T>) -> usize {
-        self.try_preprocess_with(series, scratch).unwrap_or(0)
-    }
-
-    /// Infallible wrapper over the kernel-dispatching entry point, with
-    /// the bit-sliced kernel's `bitslice.transpose` / `bitslice.combine`
-    /// spans landing in `obs`.
-    fn preprocess_exec(
-        &self,
-        series: &mut [T],
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-    ) -> usize {
-        self.try_preprocess_exec(series, scratch, kernel, obs)
-            .unwrap_or(0)
-    }
-
     /// The bit-sliced group kernel wants the cheap-to-gather time-major
     /// layout (it packs 64 *series* per word at each time step); the scalar
     /// oracle keeps the natural series-major layout.
     fn batch_layout(&self, kernel: Kernel) -> BatchLayout {
         match kernel {
             Kernel::Bitsliced => BatchLayout::TimeMajor,
-            _ => BatchLayout::SeriesMajor,
+            Kernel::Scalar => BatchLayout::SeriesMajor,
         }
     }
 
-    /// Batched entry: with [`Kernel::Bitsliced`] the whole time-major tile
+    /// Infallible batched entry over [`AlgoNgst::try_preprocess_in`]:
+    /// series too short for Υ are left untouched.
+    ///
+    /// A lone series (`buf.len() == frames`: the naive driver, `run_image`
+    /// and the NGST pipeline's separate layer) and the scalar oracle go
+    /// series by series; for the bit-sliced kernel that is the
+    /// lane-per-sample pass over the one series. A larger bit-sliced batch
     /// is handed to the lane-per-series kernel in groups of 64 series, so
-    /// every word operation advances 64 voters at once; the scalar oracle
-    /// runs the per-series loop over the series-major layout. Layouts
-    /// follow [`batch_layout`](Self::batch_layout); results are
+    /// every word operation advances 64 voters at once. Results are
     /// bit-identical either way (property tested in
     /// `tests/kernel_identical.rs`).
-    fn preprocess_batch_exec(
-        &self,
-        buf: &mut [T],
-        frames: usize,
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-    ) -> usize {
-        if frames == 0 {
-            return 0;
+    fn preprocess_batch(&self, buf: &mut [T], frames: usize, cx: &mut Exec<'_, T>) -> usize {
+        if cx.kernel == Kernel::Scalar || buf.len() == frames {
+            return each_series(buf, frames, |series| {
+                self.try_preprocess_in(series, cx).unwrap_or(0)
+            });
         }
-        if kernel != Kernel::Bitsliced {
-            return buf
-                .chunks_exact_mut(frames)
-                .map(|series| self.preprocess_exec(series, scratch, kernel, obs))
-                .sum();
-        }
-        if self.sensitivity.is_off() || frames < self.upsilon.min_series_len() {
+        let algo = self.resolve(cx.decision);
+        if frames == 0 || algo.sensitivity.is_off() || frames < algo.upsilon.min_series_len() {
             // Λ = 0 analyzes nothing; short series are left untouched — the
-            // same outcomes the per-series loop reaches one series at a
+            // same outcomes the per-series path reaches one series at a
             // time.
             return 0;
         }
-        let params = crate::bitslice::BitsliceParams {
-            upsilon: self.upsilon,
-            sensitivity: self.sensitivity,
-            msb_margin: self.config.msb_margin_bits,
-            static_windows: self.config.static_windows,
-            use_grt: self.config.use_grt,
-        };
+        let params = algo.bitslice_params();
         let count = buf.len() / frames;
         let mut total = 0;
         let mut base = 0;
@@ -328,103 +300,19 @@ impl<T: BitPixel> SeriesPreprocessor<T> for AlgoNgst {
             let g = (count - base).min(64);
             total += crate::bitslice::bitsliced_group(
                 &params,
-                self.config.passes,
+                algo.config.passes,
                 buf,
                 frames,
                 count,
                 base,
                 g,
-                scratch,
-                obs,
+                cx.scratch,
+                cx.obs,
             );
             base += g;
         }
         total
     }
-
-    /// Tuned batched entry: when a calibrator has frozen a decision, the
-    /// tile runs with the *chosen* λ/Υ and the decision's bit windows
-    /// substituted via `static_windows` (same freezing mechanism as
-    /// ablation A2); the requested configuration is untouched. Without a
-    /// decision this is exactly
-    /// [`preprocess_batch_exec`](Self::preprocess_batch_exec).
-    fn preprocess_batch_tuned(
-        &self,
-        buf: &mut [T],
-        frames: usize,
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-        decision: Option<&crate::tuning::TuneDecision>,
-    ) -> usize {
-        match decision {
-            Some(d) => {
-                let tuned = AlgoNgst::with_config(
-                    d.upsilon,
-                    d.lambda,
-                    NgstConfig {
-                        static_windows: Some((d.window_a_bits, d.window_c_bits)),
-                        ..self.config
-                    },
-                );
-                tuned.preprocess_batch_exec(buf, frames, scratch, kernel, obs)
-            }
-            None => self.preprocess_batch_exec(buf, frames, scratch, kernel, obs),
-        }
-    }
-}
-
-/// Applies a [`SeriesPreprocessor`] to the temporal series of every
-/// coordinate of an [`ImageStack`], returning the total number of modified
-/// samples. This is the slave-node work unit of the paper's Figure 1
-/// architecture (each 128×128 fragment is preprocessed coordinate-wise).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Preprocessor::new(algo).naive(true).run(stack)`"
-)]
-pub fn preprocess_stack<T, P>(algo: &P, stack: &mut ImageStack<T>) -> usize
-where
-    T: BitPixel,
-    P: SeriesPreprocessor<T> + Sync,
-{
-    crate::preprocessor::Preprocessor::new(algo)
-        .naive(true)
-        .run(stack)
-}
-
-/// Applies a [`SeriesPreprocessor`] *spatially* to a single 2-D frame: one
-/// pass along every row, then one along every column.
-///
-/// This transplants the temporal voter machinery onto spatial locality —
-/// the direction the paper itself takes for OTIS (§7), here available for
-/// bit-level data such as a single NGST readout when no temporal redundancy
-/// exists (e.g. the final integrated image, after CR rejection but before
-/// downlink). Row and column passes are sequential: the column pass sees
-/// the row pass's repairs.
-///
-/// Returns the total number of modified samples across both passes.
-pub fn preprocess_image<T: BitPixel>(
-    algo: &impl SeriesPreprocessor<T>,
-    image: &mut crate::container::Image<T>,
-) -> usize {
-    let mut changed = 0;
-    let mut scratch = VoterScratch::new();
-    for y in 0..image.height() {
-        changed += algo.preprocess_with(image.row_mut(y), &mut scratch);
-    }
-    let (w, h) = (image.width(), image.height());
-    let mut column: Vec<T> = Vec::with_capacity(h);
-    let mut before: Vec<T> = Vec::with_capacity(h);
-    for x in 0..w {
-        image.copy_col_into(x, &mut column);
-        before.clear();
-        before.extend_from_slice(&column);
-        if algo.preprocess_with(&mut column, &mut scratch) > 0 {
-            changed += column.iter().zip(&before).filter(|(a, b)| a != b).count();
-            image.write_col(x, &column);
-        }
-    }
-    changed
 }
 
 #[cfg(test)]
@@ -583,6 +471,7 @@ mod tests {
 
     #[test]
     fn stack_driver_corrects_every_coordinate() {
+        use crate::container::ImageStack;
         let mut stack: ImageStack<u16> = ImageStack::new(4, 3, 32);
         // Fill each coordinate with a constant level, then flip one sample.
         for y in 0..3 {
@@ -624,7 +513,7 @@ mod tests {
         for &(x, y, bit) in &[(3usize, 4usize, 13u32), (10, 10, 15), (20, 7, 12)] {
             img.set(x, y, img.get(x, y) ^ (1 << bit));
         }
-        let changed = preprocess_image(&algo(80), &mut img);
+        let changed = crate::Preprocessor::new(algo(80)).run_image(&mut img);
         assert!(changed >= 3);
         for y in 0..24 {
             for x in 0..24 {
@@ -639,7 +528,7 @@ mod tests {
         use crate::container::Image;
         let mut img: Image<u16> = Image::filled(16, 16, 30_000);
         let before = img.clone();
-        let changed = preprocess_image(&algo(80), &mut img);
+        let changed = crate::Preprocessor::new(algo(80)).run_image(&mut img);
         assert_eq!(changed, 0, "clean flat image must be untouched");
         assert_eq!(img, before);
     }

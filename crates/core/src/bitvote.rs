@@ -8,8 +8,9 @@
 //! of a damaged word keep contributing information.
 
 use crate::container::Image;
+use crate::kernel::Kernel;
 use crate::pixel::BitPixel;
-use crate::traits::{PlanePreprocessor, SeriesPreprocessor};
+use crate::traits::{each_series, BatchLayout, Exec, PlanePreprocessor, SeriesPreprocessor};
 use crate::voter::VoterScratch;
 
 /// Bitwise majority voting with a window of width three (Algorithm 3).
@@ -104,12 +105,15 @@ impl<T: BitPixel> SeriesPreprocessor<T> for BitVoter {
         "BitVoting"
     }
 
-    fn preprocess(&self, series: &mut [T]) -> usize {
-        self.preprocess_with(series, &mut VoterScratch::new())
+    fn batch_layout(&self, _kernel: Kernel) -> BatchLayout {
+        BatchLayout::SeriesMajor
     }
 
-    fn preprocess_with(&self, series: &mut [T], scratch: &mut VoterScratch<T>) -> usize {
-        self.vote(series, scratch)
+    /// Votes series by series; the buffered variant keeps its pre-vote
+    /// snapshot in `cx.scratch`. The single code path ignores the kernel,
+    /// the observer and any tuner decision.
+    fn preprocess_batch(&self, buf: &mut [T], frames: usize, cx: &mut Exec<'_, T>) -> usize {
+        each_series(buf, frames, |series| self.vote(series, cx.scratch))
     }
 }
 
@@ -235,12 +239,19 @@ mod tests {
         // per-call allocating path exactly, including stale-buffer cases
         // where the previous series was longer.
         let mut scratch = VoterScratch::new();
+        let obs = preflight_obs::Obs::disabled();
         for len in [12usize, 6, 9, 4] {
             let mut fresh: Vec<u16> = (0..len).map(|i| 0x4000 | ((i as u16 % 2) << 8)).collect();
             fresh[len / 2] ^= 1 << 3;
             let mut reused = fresh.clone();
             let a = SeriesPreprocessor::preprocess(&BitVoter::buffered(), &mut fresh);
-            let b = BitVoter::buffered().preprocess_with(&mut reused, &mut scratch);
+            let mut cx = Exec {
+                kernel: Kernel::default(),
+                scratch: &mut scratch,
+                obs: &obs,
+                decision: None,
+            };
+            let b = BitVoter::buffered().preprocess_batch(&mut reused, len, &mut cx);
             assert_eq!(a, b, "changed count at len {len}");
             assert_eq!(fresh, reused, "votes at len {len}");
         }

@@ -58,7 +58,6 @@ pub mod bitvote;
 pub mod container;
 pub mod error;
 pub mod kernel;
-pub mod parallel;
 pub mod pixel;
 pub mod preprocessor;
 pub mod sensitivity;
@@ -68,22 +67,18 @@ pub mod tuning;
 pub mod voter;
 pub mod window;
 
-#[allow(deprecated)]
-pub use algo_ngst::preprocess_stack;
-pub use algo_ngst::{preprocess_image, AlgoNgst, NgstConfig};
+pub use algo_ngst::{AlgoNgst, NgstConfig};
 pub use algo_otis::{AlgoOtis, Neighborhood, OtisConfig, PhysicalBounds, PlaneReport, Repair};
 pub use bitslice::{detected_tiers, dispatch_tier, DispatchTier};
 pub use bitvote::BitVoter;
 pub use container::{Cube, Image, ImageStack};
 pub use error::CoreError;
 pub use kernel::Kernel;
-#[allow(deprecated)]
-pub use parallel::{preprocess_cube_parallel, preprocess_stack_parallel, preprocess_stack_tiled};
 pub use pixel::{BitPixel, ValuePixel};
 pub use preprocessor::{available_threads, Preprocessor, DEFAULT_TILE};
 pub use sensitivity::{Sensitivity, Upsilon};
 pub use smoothing::{MeanSmoother, MedianSmoother};
-pub use traits::{BatchLayout, PlanePreprocessor, SeriesPreprocessor};
+pub use traits::{BatchLayout, Exec, PlanePreprocessor, SeriesPreprocessor};
 pub use tuning::{observe_stack, TuneDecision, Tuner};
 pub use voter::{VoterMatrix, VoterScratch};
 pub use window::BitWindows;
@@ -104,6 +99,6 @@ pub mod prelude {
     pub use crate::preprocessor::{available_threads, Preprocessor};
     pub use crate::sensitivity::{Sensitivity, Upsilon};
     pub use crate::smoothing::{MeanSmoother, MedianSmoother};
-    pub use crate::traits::{PlanePreprocessor, SeriesPreprocessor};
+    pub use crate::traits::{Exec, PlanePreprocessor, SeriesPreprocessor};
     pub use preflight_obs::{Obs, Span};
 }

@@ -18,16 +18,17 @@
 //! assert_eq!(changed, 0); // an all-zero stack has nothing to repair
 //! ```
 //!
-//! The builder subsumes the PR 2 free-function drivers
-//! (`preprocess_stack`, `preprocess_stack_tiled`,
-//! `preprocess_stack_parallel`, `preprocess_cube_parallel`, now
-//! deprecated shims over it) and is the observability choke point: with
-//! an [`Obs`] attached, every run emits `preprocess_*` counters (runs,
-//! series, tiles, repaired samples, voter builds, window derivations)
-//! and per-stage spans (`preprocess`, `tile`, `plane`) exactly once,
+//! The builder is the observability choke point: with an [`Obs`]
+//! attached, every run emits `preprocess_*` counters (runs, series,
+//! tiles, repaired samples, voter builds, window derivations) and
+//! per-stage spans (`preprocess`, `tile`, `plane`) exactly once,
 //! consistently, for every caller. With the default disabled handle the
 //! instrumentation compiles down to no-ops — no clock reads, no
-//! atomics — so the hot loops are unchanged from PR 2.
+//! atomics — so the hot loops cost what the bare tile loops do. Every
+//! driver reaches the algorithm through the one batch entry point
+//! [`SeriesPreprocessor::preprocess_batch`], handing it the builder's
+//! kernel, a scratch arena, the observer and the tuner decision in one
+//! [`Exec`].
 //!
 //! **Bit-identity invariant**: for a given algorithm, [`run`]
 //! (any driver, any thread count) produces output and changed-sample
@@ -41,7 +42,7 @@
 use crate::container::{Cube, Image, ImageStack};
 use crate::kernel::Kernel;
 use crate::pixel::BitPixel;
-use crate::traits::{BatchLayout, PlanePreprocessor, SeriesPreprocessor};
+use crate::traits::{BatchLayout, Exec, PlanePreprocessor, SeriesPreprocessor};
 use crate::tuning::{TuneDecision, Tuner};
 use crate::voter::VoterScratch;
 use crossbeam::channel;
@@ -72,6 +73,44 @@ struct Tile {
     ty: usize,
     tw: usize,
     th: usize,
+}
+
+impl Tile {
+    /// Copies this tile's series out of `stack` into `buf`, in `layout`.
+    fn gather<T: BitPixel>(&self, stack: &ImageStack<T>, layout: BatchLayout, buf: &mut Vec<T>) {
+        let Tile { tx, ty, tw, th } = *self;
+        match layout {
+            BatchLayout::SeriesMajor => stack.gather_tile_series(tx, ty, tw, th, buf),
+            BatchLayout::TimeMajor => stack.gather_tile_time_major(tx, ty, tw, th, buf),
+        }
+    }
+
+    /// Writes a [`gather`](Self::gather)ed buffer back into `stack`.
+    fn scatter<T: BitPixel>(&self, stack: &mut ImageStack<T>, layout: BatchLayout, buf: &[T]) {
+        let Tile { tx, ty, tw, th } = *self;
+        match layout {
+            BatchLayout::SeriesMajor => stack.scatter_tile_series(tx, ty, tw, th, buf),
+            BatchLayout::TimeMajor => stack.scatter_tile_time_major(tx, ty, tw, th, buf),
+        }
+    }
+}
+
+/// Adds a worker's scratch tallies (voter builds, window derivations,
+/// bit-sliced transposes and combines) to `obs`'s counters and resets
+/// them.
+fn flush_scratch_tallies<T>(obs: &Obs, scratch: &mut VoterScratch<T>) {
+    if !obs.is_enabled() {
+        return;
+    }
+    obs.counter("preprocess_voter_builds_total", None)
+        .add(scratch.voter_builds());
+    obs.counter("preprocess_window_derivations_total", None)
+        .add(scratch.window_derivations());
+    obs.counter("preprocess_bitslice_transposes_total", None)
+        .add(scratch.bitslice_transposes());
+    obs.counter("preprocess_bitslice_combines_total", None)
+        .add(scratch.bitslice_combines());
+    scratch.reset_tallies();
 }
 
 /// Row-major spatial tiling of a `width × height` frame into `tile`-sided
@@ -188,25 +227,6 @@ impl<A> Preprocessor<A> {
         &self.algo
     }
 
-    fn flush_scratch_tallies<T>(&self, scratch: &mut VoterScratch<T>) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        self.obs
-            .counter("preprocess_voter_builds_total", None)
-            .add(scratch.voter_builds());
-        self.obs
-            .counter("preprocess_window_derivations_total", None)
-            .add(scratch.window_derivations());
-        self.obs
-            .counter("preprocess_bitslice_transposes_total", None)
-            .add(scratch.bitslice_transposes());
-        self.obs
-            .counter("preprocess_bitslice_combines_total", None)
-            .add(scratch.bitslice_combines());
-        scratch.reset_tallies();
-    }
-
     /// Preprocesses every temporal series of `stack`, returning the
     /// total number of modified samples. Dispatches on the builder:
     /// naive reference loop, sequential tiled path (1 thread) or the
@@ -222,8 +242,17 @@ impl<A> Preprocessor<A> {
             stack.for_each_series(|series| {
                 // Fresh scratch per series: the naive reference stays naive
                 // about allocation, but still honors the kernel knob.
-                self.algo
-                    .preprocess_exec(series, &mut VoterScratch::new(), self.kernel, &self.obs)
+                let frames = series.len();
+                self.algo.preprocess_batch(
+                    series,
+                    frames,
+                    &mut Exec {
+                        kernel: self.kernel,
+                        scratch: &mut VoterScratch::new(),
+                        obs: &self.obs,
+                        decision: None,
+                    },
+                )
             })
         } else if stack.frames() == 0 || stack.frame_len() == 0 {
             0
@@ -264,9 +293,9 @@ impl<A> Preprocessor<A> {
         changed
     }
 
-    /// Sequential cache-aware path: gather each tile into series-major
-    /// scratch, repair the contiguous series with one reused
-    /// [`VoterScratch`], scatter back.
+    /// Sequential cache-aware path: gather each tile in the algorithm's
+    /// layout, repair the batch with one reused [`VoterScratch`], scatter
+    /// back.
     fn run_tiled<T>(
         &self,
         stack: &mut ImageStack<T>,
@@ -280,44 +309,31 @@ impl<A> Preprocessor<A> {
         let frames = stack.frames();
         let layout = self.algo.batch_layout(self.kernel);
         let mut scratch = VoterScratch::with_capacity(frames);
+        let mut cx = Exec {
+            kernel: self.kernel,
+            scratch: &mut scratch,
+            obs: &self.obs,
+            decision: decision.as_ref(),
+        };
         let mut buf: Vec<T> = Vec::new();
         let mut changed = 0;
         for t in tiles {
             let _span = self.obs.span("tile");
-            match layout {
-                BatchLayout::SeriesMajor => {
-                    stack.gather_tile_series(t.tx, t.ty, t.tw, t.th, &mut buf)
-                }
-                BatchLayout::TimeMajor => {
-                    stack.gather_tile_time_major(t.tx, t.ty, t.tw, t.th, &mut buf)
-                }
-            }
-            changed += self.algo.preprocess_batch_tuned(
-                &mut buf,
-                frames,
-                &mut scratch,
-                self.kernel,
-                &self.obs,
-                decision.as_ref(),
-            );
-            match layout {
-                BatchLayout::SeriesMajor => stack.scatter_tile_series(t.tx, t.ty, t.tw, t.th, &buf),
-                BatchLayout::TimeMajor => {
-                    stack.scatter_tile_time_major(t.tx, t.ty, t.tw, t.th, &buf)
-                }
-            }
+            t.gather(stack, layout, &mut buf);
+            changed += self.algo.preprocess_batch(&mut buf, frames, &mut cx);
+            t.scatter(stack, layout, &buf);
         }
         if self.obs.is_enabled() {
             self.obs
                 .counter("preprocess_tiles_total", None)
                 .add(tiles.len() as u64);
-            self.flush_scratch_tallies(&mut scratch);
+            flush_scratch_tallies(&self.obs, &mut scratch);
         }
         changed
     }
 
     /// Scoped worker pool over the same tiles: workers pull tiles from
-    /// a shared queue, repair them in series-major scratch and hand the
+    /// a shared queue, repair them in the algorithm's layout and hand the
     /// repaired tiles back; the caller scatters once the pool drains.
     fn run_parallel<T>(
         &self,
@@ -344,45 +360,30 @@ impl<A> Preprocessor<A> {
         let algo = &self.algo;
         let obs = &self.obs;
         let kernel = self.kernel;
+        let decision = decision.as_ref();
         std::thread::scope(|s| {
             for _ in 0..workers {
                 let job_rx = job_rx.clone();
                 let res_tx = res_tx.clone();
                 s.spawn(move || {
                     let mut scratch = VoterScratch::with_capacity(frames);
+                    let mut cx = Exec {
+                        kernel,
+                        scratch: &mut scratch,
+                        obs,
+                        decision,
+                    };
                     while let Ok(tile) = job_rx.recv() {
                         let span = obs.span("tile");
                         let mut buf = Vec::new();
-                        match layout {
-                            BatchLayout::SeriesMajor => shared
-                                .gather_tile_series(tile.tx, tile.ty, tile.tw, tile.th, &mut buf),
-                            BatchLayout::TimeMajor => shared.gather_tile_time_major(
-                                tile.tx, tile.ty, tile.tw, tile.th, &mut buf,
-                            ),
-                        }
-                        let changed = algo.preprocess_batch_tuned(
-                            &mut buf,
-                            frames,
-                            &mut scratch,
-                            kernel,
-                            obs,
-                            decision.as_ref(),
-                        );
+                        tile.gather(shared, layout, &mut buf);
+                        let changed = algo.preprocess_batch(&mut buf, frames, &mut cx);
                         drop(span);
                         if res_tx.send((tile, buf, changed)).is_err() {
                             break;
                         }
                     }
-                    if obs.is_enabled() {
-                        obs.counter("preprocess_voter_builds_total", None)
-                            .add(scratch.voter_builds());
-                        obs.counter("preprocess_window_derivations_total", None)
-                            .add(scratch.window_derivations());
-                        obs.counter("preprocess_bitslice_transposes_total", None)
-                            .add(scratch.bitslice_transposes());
-                        obs.counter("preprocess_bitslice_combines_total", None)
-                            .add(scratch.bitslice_combines());
-                    }
+                    flush_scratch_tallies(obs, &mut scratch);
                 });
             }
             drop(res_tx);
@@ -393,14 +394,7 @@ impl<A> Preprocessor<A> {
 
         let mut total = 0;
         for (tile, buf, changed) in results {
-            match layout {
-                BatchLayout::SeriesMajor => {
-                    stack.scatter_tile_series(tile.tx, tile.ty, tile.tw, tile.th, &buf)
-                }
-                BatchLayout::TimeMajor => {
-                    stack.scatter_tile_time_major(tile.tx, tile.ty, tile.tw, tile.th, &buf)
-                }
-            }
+            tile.scatter(stack, layout, &buf);
             total += changed;
         }
         if self.obs.is_enabled() {
@@ -429,23 +423,23 @@ impl<A> Preprocessor<A> {
         let _span = self.obs.span("preprocess-image");
         let mut changed = 0;
         let mut scratch = VoterScratch::new();
-        for y in 0..image.height() {
-            changed +=
-                self.algo
-                    .preprocess_exec(image.row_mut(y), &mut scratch, self.kernel, &self.obs);
-        }
+        let mut cx = Exec {
+            kernel: self.kernel,
+            scratch: &mut scratch,
+            obs: &self.obs,
+            decision: None,
+        };
         let (w, h) = (image.width(), image.height());
+        for y in 0..h {
+            changed += self.algo.preprocess_batch(image.row_mut(y), w, &mut cx);
+        }
         let mut column: Vec<T> = Vec::with_capacity(h);
         let mut before: Vec<T> = Vec::with_capacity(h);
         for x in 0..w {
             image.copy_col_into(x, &mut column);
             before.clear();
             before.extend_from_slice(&column);
-            if self
-                .algo
-                .preprocess_exec(&mut column, &mut scratch, self.kernel, &self.obs)
-                > 0
-            {
+            if self.algo.preprocess_batch(&mut column, h, &mut cx) > 0 {
                 changed += column.iter().zip(&before).filter(|(a, b)| a != b).count();
                 image.write_col(x, &column);
             }
@@ -455,7 +449,7 @@ impl<A> Preprocessor<A> {
             self.obs
                 .counter("preprocess_samples_repaired_total", None)
                 .add(changed as u64);
-            self.flush_scratch_tallies(&mut scratch);
+            flush_scratch_tallies(&self.obs, &mut scratch);
         }
         changed
     }

@@ -12,8 +12,9 @@
 //! variant for comparison.
 
 use crate::container::Image;
+use crate::kernel::Kernel;
 use crate::pixel::{median3, ValuePixel};
-use crate::traits::{PlanePreprocessor, SeriesPreprocessor};
+use crate::traits::{each_series, BatchLayout, Exec, PlanePreprocessor, SeriesPreprocessor};
 
 /// Simple median smoothing with a window of width three (Algorithm 2).
 ///
@@ -98,8 +99,14 @@ impl<T: ValuePixel> SeriesPreprocessor<T> for MedianSmoother {
         "MedianSmoothing"
     }
 
-    fn preprocess(&self, series: &mut [T]) -> usize {
-        self.smooth(series)
+    fn batch_layout(&self, _kernel: Kernel) -> BatchLayout {
+        BatchLayout::SeriesMajor
+    }
+
+    /// Smooths series by series; the single code path ignores the rest
+    /// of the context.
+    fn preprocess_batch(&self, buf: &mut [T], frames: usize, _cx: &mut Exec<'_, T>) -> usize {
+        each_series(buf, frames, |series| self.smooth(series))
     }
 }
 
@@ -165,8 +172,14 @@ impl<T: ValuePixel> SeriesPreprocessor<T> for MeanSmoother {
         "MeanSmoothing"
     }
 
-    fn preprocess(&self, series: &mut [T]) -> usize {
-        self.smooth(series)
+    fn batch_layout(&self, _kernel: Kernel) -> BatchLayout {
+        BatchLayout::SeriesMajor
+    }
+
+    /// Smooths series by series; the single code path ignores the rest
+    /// of the context.
+    fn preprocess_batch(&self, buf: &mut [T], frames: usize, _cx: &mut Exec<'_, T>) -> usize {
+        each_series(buf, frames, |series| self.smooth(series))
     }
 }
 

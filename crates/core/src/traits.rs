@@ -7,11 +7,12 @@ use crate::voter::VoterScratch;
 use preflight_obs::Obs;
 
 /// Memory layout of the batch buffer handed to
-/// [`SeriesPreprocessor::preprocess_batch_exec`].
+/// [`SeriesPreprocessor::preprocess_batch`].
 ///
 /// Drivers ask the algorithm which layout it wants for a given kernel via
 /// [`SeriesPreprocessor::batch_layout`] and gather the tile accordingly, so
 /// the algorithm never has to transpose what the driver already laid out.
+/// A one-series buffer reads the same in either layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchLayout {
     /// `buf[k*frames..(k+1)*frames]` is series `k` — the layout
@@ -26,6 +27,31 @@ pub enum BatchLayout {
     TimeMajor,
 }
 
+/// The execution context of one [`SeriesPreprocessor::preprocess_batch`]
+/// call: everything a driver decides that is not the data itself.
+///
+/// Bundling the four into one required argument means a wrapper (such as
+/// the supervisor's ladder rung) cannot forward the data and quietly drop
+/// the kernel, the scratch, the observer or the tuner decision: it has to
+/// hand the whole context on.
+#[derive(Debug)]
+pub struct Exec<'a, T> {
+    /// The voter-correction kernel. Output is bit-identical for every
+    /// kernel; algorithms with a single code path ignore it.
+    pub kernel: Kernel,
+    /// Reusable per-worker buffers, so a loop over many batches reaches a
+    /// zero-alloc steady state. Purely an allocation-recycling vehicle.
+    pub scratch: &'a mut VoterScratch<T>,
+    /// Where per-stage spans land (`bitslice.transpose`, ...).
+    pub obs: &'a Obs,
+    /// A frozen calibration from an online [`Tuner`], if one is in force.
+    /// [`crate::AlgoNgst`] then runs with the chosen λ/Υ and frozen bit
+    /// windows; the baselines have no such knobs and ignore it.
+    ///
+    /// [`Tuner`]: crate::tuning::Tuner
+    pub decision: Option<&'a TuneDecision>,
+}
+
 /// A preprocessing algorithm operating on the temporal series of one
 /// coordinate (the NGST shape: `N` readouts of the same pixel).
 ///
@@ -34,99 +60,61 @@ pub enum BatchLayout {
 /// minimum window is left untouched (returning 0) rather than failing, so
 /// stack drivers never abort mid-image; use the algorithm's own fallible
 /// constructor/validator when strictness is wanted.
+///
+/// Every driver goes through the one batch entry point
+/// [`preprocess_batch`](Self::preprocess_batch); only the single-series
+/// convenience [`preprocess`](Self::preprocess) is provided.
 pub trait SeriesPreprocessor<T> {
     /// A short human-readable identifier (used in benchmark tables).
     fn name(&self) -> &'static str;
 
-    /// Repairs `series` in place, returning the number of modified samples.
-    fn preprocess(&self, series: &mut [T]) -> usize;
-
-    /// [`SeriesPreprocessor::preprocess`] with caller-provided scratch
-    /// buffers, for workers that loop over many series.
-    ///
-    /// Results must be identical to `preprocess`; the scratch is purely an
-    /// allocation-recycling vehicle. The default implementation ignores the
-    /// scratch (correct for stateless baselines that allocate nothing);
-    /// algorithms with per-series buffers (e.g. [`crate::AlgoNgst`])
-    /// override it.
-    fn preprocess_with(&self, series: &mut [T], scratch: &mut VoterScratch<T>) -> usize {
-        let _ = scratch;
-        self.preprocess(series)
-    }
-
-    /// The full execution entry point: scratch recycling plus an explicit
-    /// [`Kernel`] selection and an observability handle for per-stage
-    /// spans. Results must be bit-identical for every kernel; the kernel is
-    /// purely a scheduling choice. The default implementation ignores both
-    /// extras (correct for the baselines, which have a single code path);
-    /// [`crate::AlgoNgst`] overrides it to dispatch between the scalar
-    /// gather and the bit-sliced kernel.
-    fn preprocess_exec(
-        &self,
-        series: &mut [T],
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-    ) -> usize {
-        let _ = (kernel, obs);
-        self.preprocess_with(series, scratch)
-    }
-
     /// The batch-buffer layout this algorithm wants for `kernel`. Drivers
     /// must gather tiles in this layout before calling
-    /// [`preprocess_batch_exec`](Self::preprocess_batch_exec) and scatter
-    /// them back the same way. The default ([`BatchLayout::SeriesMajor`])
-    /// matches the default per-series batch loop.
-    fn batch_layout(&self, kernel: Kernel) -> BatchLayout {
-        let _ = kernel;
-        BatchLayout::SeriesMajor
-    }
+    /// [`preprocess_batch`](Self::preprocess_batch) and scatter them back
+    /// the same way.
+    fn batch_layout(&self, kernel: Kernel) -> BatchLayout;
 
-    /// Repairs a batch of equal-length series stored contiguously in the
-    /// layout [`batch_layout`](Self::batch_layout) reports for `kernel`,
-    /// returning the total number of modified samples.
+    /// Repairs a batch of equal-length series of `frames` samples each,
+    /// stored contiguously in the layout
+    /// [`batch_layout`](Self::batch_layout) reports for `cx.kernel`, and
+    /// returns the total number of modified samples.
     ///
-    /// Results must be bit-identical to calling
-    /// [`preprocess_exec`](Self::preprocess_exec) on each series in turn —
-    /// the batch entry exists so algorithms with cross-series instruction
-    /// parallelism (the bit-sliced kernel votes on 64 series per word op)
-    /// can exploit it; the default implementation is exactly that loop
-    /// over a series-major buffer.
-    fn preprocess_batch_exec(
-        &self,
-        buf: &mut [T],
-        frames: usize,
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-    ) -> usize {
-        if frames == 0 {
-            return 0;
-        }
-        buf.chunks_exact_mut(frames)
-            .map(|series| self.preprocess_exec(series, scratch, kernel, obs))
-            .sum()
-    }
+    /// Results must be bit-identical to repairing each series on its own,
+    /// for every kernel and any batch size: series are independent. The
+    /// batch exists so algorithms with cross-series instruction parallelism
+    /// (the bit-sliced kernel votes on 64 series per word op) can exploit
+    /// it. `frames == 0` repairs nothing.
+    fn preprocess_batch(&self, buf: &mut [T], frames: usize, cx: &mut Exec<'_, T>) -> usize;
 
-    /// [`preprocess_batch_exec`](Self::preprocess_batch_exec) with an
-    /// optional frozen calibration from an online [`Tuner`]. The default
-    /// ignores the decision (baselines have no Λ/Υ/window knobs to
-    /// retune); [`crate::AlgoNgst`] overrides it to substitute the chosen
-    /// λ/Υ and freeze the decision's bit windows via `static_windows`.
-    ///
-    /// [`Tuner`]: crate::tuning::Tuner
-    fn preprocess_batch_tuned(
-        &self,
-        buf: &mut [T],
-        frames: usize,
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-        decision: Option<&TuneDecision>,
-    ) -> usize {
-        let _ = decision;
-        self.preprocess_batch_exec(buf, frames, scratch, kernel, obs)
+    /// Repairs one series in place, returning the number of modified
+    /// samples: a one-series batch with the default kernel, fresh scratch,
+    /// observability disabled and no tuner decision.
+    fn preprocess(&self, series: &mut [T]) -> usize {
+        let frames = series.len();
+        self.preprocess_batch(
+            series,
+            frames,
+            &mut Exec {
+                kernel: Kernel::default(),
+                scratch: &mut VoterScratch::new(),
+                obs: &Obs::disabled(),
+                decision: None,
+            },
+        )
     }
+}
+
+/// The per-series batch loop shared by the single-code-path algorithms:
+/// `repair` runs on each `frames`-long series of a series-major `buf`.
+pub(crate) fn each_series<T>(
+    buf: &mut [T],
+    frames: usize,
+    repair: impl FnMut(&mut [T]) -> usize,
+) -> usize {
+    if frames == 0 {
+        return 0;
+    }
+    buf.chunks_exact_mut(frames).map(repair).sum()
 }
 
 /// A preprocessing algorithm operating on a single 2-D plane (the OTIS
@@ -143,44 +131,11 @@ impl<T, P: SeriesPreprocessor<T> + ?Sized> SeriesPreprocessor<T> for &P {
     fn name(&self) -> &'static str {
         (**self).name()
     }
-    fn preprocess(&self, series: &mut [T]) -> usize {
-        (**self).preprocess(series)
-    }
-    fn preprocess_with(&self, series: &mut [T], scratch: &mut VoterScratch<T>) -> usize {
-        (**self).preprocess_with(series, scratch)
-    }
-    fn preprocess_exec(
-        &self,
-        series: &mut [T],
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-    ) -> usize {
-        (**self).preprocess_exec(series, scratch, kernel, obs)
-    }
     fn batch_layout(&self, kernel: Kernel) -> BatchLayout {
         (**self).batch_layout(kernel)
     }
-    fn preprocess_batch_exec(
-        &self,
-        buf: &mut [T],
-        frames: usize,
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-    ) -> usize {
-        (**self).preprocess_batch_exec(buf, frames, scratch, kernel, obs)
-    }
-    fn preprocess_batch_tuned(
-        &self,
-        buf: &mut [T],
-        frames: usize,
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-        decision: Option<&TuneDecision>,
-    ) -> usize {
-        (**self).preprocess_batch_tuned(buf, frames, scratch, kernel, obs, decision)
+    fn preprocess_batch(&self, buf: &mut [T], frames: usize, cx: &mut Exec<'_, T>) -> usize {
+        (**self).preprocess_batch(buf, frames, cx)
     }
 }
 

@@ -6,7 +6,7 @@
 //! 64-pixel block boundary.
 //!
 //! Identity is checked at two levels: the raw per-series kernel entry
-//! (`AlgoNgst::try_preprocess_kernel`, single- and multi-pass, GRT on/off)
+//! (`AlgoNgst::try_preprocess_in`, single- and multi-pass, GRT on/off)
 //! and the whole-stack [`Preprocessor`] drivers with the `kernel` knob.
 //! The deterministic grid additionally runs once per supported SIMD
 //! dispatch tier, so the portable fallback and the AVX2/NEON
@@ -14,8 +14,8 @@
 
 use preflight_core::bitslice::{transpose_block, untranspose_block};
 use preflight_core::{
-    detected_tiers, AlgoNgst, BitPixel, DispatchTier, ImageStack, Kernel, NgstConfig, Preprocessor,
-    Sensitivity, Upsilon, VoterScratch,
+    detected_tiers, AlgoNgst, BitPixel, DispatchTier, Exec, ImageStack, Kernel, NgstConfig, Obs,
+    Preprocessor, Sensitivity, Upsilon, VoterScratch,
 };
 use proptest::prelude::*;
 
@@ -45,9 +45,17 @@ fn make_series<T: BitPixel>(len: usize, seed: u64, flip_pct: u64, base: u64) -> 
 fn assert_kernels_agree<T: BitPixel>(series: &[T], algo: &AlgoNgst, label: &str) {
     let mut scalar = series.to_vec();
     let mut scratch = VoterScratch::new();
-    let want = algo.try_preprocess_kernel(&mut scalar, &mut scratch, Kernel::Scalar);
+    let obs = Obs::disabled();
+    let mut cx = Exec {
+        kernel: Kernel::Scalar,
+        scratch: &mut scratch,
+        obs: &obs,
+        decision: None,
+    };
+    let want = algo.try_preprocess_in(&mut scalar, &mut cx);
     let mut out = series.to_vec();
-    let got = algo.try_preprocess_kernel(&mut out, &mut scratch, Kernel::Bitsliced);
+    cx.kernel = Kernel::Bitsliced;
+    let got = algo.try_preprocess_in(&mut out, &mut cx);
     match (&want, &got) {
         (Ok(ca), Ok(cb)) => {
             assert_eq!(ca, cb, "changed counts diverge: {label}");

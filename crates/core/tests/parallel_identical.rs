@@ -3,7 +3,8 @@
 //! reference, for random cubes, Υ, Λ, and any thread count.
 
 use preflight_core::{
-    AlgoNgst, ImageStack, Preprocessor, Sensitivity, SeriesPreprocessor, Upsilon, VoterScratch,
+    AlgoNgst, Exec, ImageStack, Kernel, Obs, Preprocessor, Sensitivity, SeriesPreprocessor,
+    Upsilon, VoterScratch,
 };
 use proptest::prelude::*;
 
@@ -81,8 +82,18 @@ proptest! {
     ) {
         let algo = AlgoNgst::new(Upsilon::FOUR, Sensitivity::new(lambda).unwrap());
         let mut scratch = VoterScratch::new();
+        let obs = Obs::disabled();
+        let mut cx = Exec {
+            kernel: Kernel::default(),
+            scratch: &mut scratch,
+            obs: &obs,
+            decision: None,
+        };
         let mut with_scratch = stack.clone();
-        let a = with_scratch.for_each_series(|s| algo.preprocess_with(s, &mut scratch));
+        let a = with_scratch.for_each_series(|s| {
+            let frames = s.len();
+            algo.preprocess_batch(s, frames, &mut cx)
+        });
         let mut without = stack.clone();
         let b = without.for_each_series(|s| algo.preprocess(s));
         prop_assert_eq!(a, b);

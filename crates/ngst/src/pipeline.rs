@@ -26,7 +26,9 @@
 //! the run's [`SupervisionOutcome`].
 
 use crate::crreject::CrRejector;
-use preflight_core::{AlgoNgst, Image, ImageStack, SeriesPreprocessor, VoterScratch};
+use preflight_core::{
+    AlgoNgst, Exec, Image, ImageStack, Kernel, Obs, SeriesPreprocessor, VoterScratch,
+};
 use preflight_faults::{ChaosModel, ChaosOutcome, Correlated, FaultError, Uncorrelated};
 use preflight_rice::RiceCodec;
 use preflight_supervisor::{
@@ -956,10 +958,17 @@ fn compute_tile(
             // with a reused scratch arena — bit-identical to the naive
             // per-pixel gather, just faster.
             let mut map = Image::new(w, h);
+            let frames = job.stack.frames();
             let mut scratch = VoterScratch::new();
+            let mut cx = Exec {
+                kernel: Kernel::default(),
+                scratch: &mut scratch,
+                obs: &Obs::disabled(),
+                decision: None,
+            };
             job.stack
                 .for_each_series_tiled(preflight_core::DEFAULT_TILE, |x, y, series| {
-                    let n = stage.preprocess_with(series, &mut scratch);
+                    let n = stage.preprocess_batch(series, frames, &mut cx);
                     map.set(x, y, n.min(65_535) as u16);
                     n
                 });

@@ -26,10 +26,6 @@
 //! # server.drain();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! The old entry points ([`crate::server::start`],
-//! [`Client::connect_tcp`], [`Client::connect_unix`]) remain as
-//! `#[deprecated]` shims over the same internals.
 
 use crate::batcher::BatchConfig;
 use crate::client::{Client, ClientError};

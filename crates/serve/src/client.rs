@@ -14,8 +14,7 @@ use crate::wire::{
 use preflight_obs::Snapshot;
 use preflight_supervisor::RetryPolicy;
 use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::path::Path;
+use std::net::TcpStream;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -182,31 +181,6 @@ impl Client {
         })
     }
 
-    /// Connects over TCP.
-    ///
-    /// # Errors
-    /// Fails if the address does not resolve or the connection is refused.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `ClientBuilder::new().tcp(addr).connect()` instead"
-    )]
-    pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Client::from_tcp(TcpStream::connect(addr)?)
-    }
-
-    /// Connects over a Unix socket.
-    ///
-    /// # Errors
-    /// Fails if the socket path cannot be connected to.
-    #[cfg(unix)]
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `ClientBuilder::new().unix(path).connect()` instead"
-    )]
-    pub fn connect_unix(path: impl AsRef<Path>) -> Result<Self, ClientError> {
-        Client::from_unix(std::os::unix::net::UnixStream::connect(path)?)
-    }
-
     /// [`SubmitOptions`] preloaded with this client's builder-configured
     /// stream id (paper-faithful Λ/Υ defaults otherwise).
     pub fn default_options(&self) -> SubmitOptions {
@@ -284,8 +258,7 @@ impl Client {
     ///
     /// A builder-configured retry policy
     /// ([`crate::builder::ClientBuilder::retry`]) is applied to `Busy`
-    /// rejections here; without one (the default, and always the case for
-    /// the deprecated constructors) `Busy` fails fast.
+    /// rejections here; without one (the default) `Busy` fails fast.
     ///
     /// # Errors
     /// Fails on transport problems, `Busy` rejection, or server errors.

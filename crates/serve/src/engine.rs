@@ -24,8 +24,8 @@ use crate::telemetry::{RequestStats, ServerStats};
 use crate::wire::{Dtype, ErrorCode, ErrorReply, FramePayload, Message, SubmitResponse};
 use crossbeam::channel;
 use preflight_core::{
-    observe_stack, AlgoNgst, BitPixel, ImageStack, Kernel, NgstConfig, Preprocessor, Sensitivity,
-    TuneDecision, Tuner, Upsilon, ValuePixel,
+    observe_stack, AlgoNgst, BitPixel, ImageStack, Kernel, Preprocessor, Sensitivity, TuneDecision,
+    Tuner, Upsilon, ValuePixel,
 };
 use preflight_obs::Obs;
 use preflight_supervisor::{
@@ -315,17 +315,8 @@ fn process_typed<T: PayloadPixel>(
         observe_stack(cal.as_ref(), &input);
         cal.decision(T::BITS)
     });
-    let algo = match &decision {
-        Some(d) => AlgoNgst::with_config(
-            d.upsilon,
-            d.lambda,
-            NgstConfig {
-                static_windows: Some((d.window_a_bits, d.window_c_bits)),
-                ..NgstConfig::default()
-            },
-        ),
-        None => AlgoNgst::new(upsilon, lambda),
-    };
+    let requested = AlgoNgst::new(upsilon, lambda);
+    let algo = decision.as_ref().map_or(requested, |d| requested.tuned(d));
     let ladder = DegradationLadder::new(Some(algo));
 
     // Walk the ladder: supervised attempts at each rung, quarantine one

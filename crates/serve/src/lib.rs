@@ -53,8 +53,6 @@ pub use builder::{ClientBuilder, ServerBuilder};
 pub use client::{Client, ClientError, SubmitOptions};
 pub use engine::{EngineConfig, TunerRegistry};
 pub use queue::AdmissionGate;
-#[allow(deprecated)]
-pub use server::start;
 pub use server::{ServerConfig, ServerHandle};
 pub use telemetry::{format_summary, RequestStats, ServerStats};
 pub use wire::{Dtype, FramePayload, Message, SubmitRequest, SubmitResponse, WireError};

@@ -252,21 +252,9 @@ impl ServerHandle {
     }
 }
 
-/// Binds the configured sockets and starts the daemon threads.
-///
-/// # Errors
-/// Fails if no socket is configured or a bind fails.
-#[deprecated(
-    since = "0.9.0",
-    note = "use `ServerBuilder::new().bind(addr)...serve()` instead"
-)]
-pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
-    start_config(config)
-}
-
 /// Binds the configured sockets and starts the daemon threads: the event
 /// loop, the batcher, the engine workers, and (optionally) the metrics
-/// listener. The non-deprecated internal entry point behind
+/// listener. The internal entry point behind
 /// [`crate::builder::ServerBuilder::serve`].
 ///
 /// # Errors

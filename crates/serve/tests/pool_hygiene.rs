@@ -28,7 +28,7 @@ fn randomized_take_put_sequences_never_leak_stale_bytes() {
     // be smaller, larger, or equal, hitting or missing the shelf.
     for round in 0..512 {
         let samples = 1 + (lcg(&mut state) % 96) as usize * 8;
-        if lcg(&mut state) % 2 == 0 {
+        if lcg(&mut state).is_multiple_of(2) {
             let mut buf = pool.take_filled_u16(samples);
             assert_eq!(buf.len(), samples, "round {round}: wrong u16 length");
             assert!(
@@ -36,7 +36,7 @@ fn randomized_take_put_sequences_never_leak_stale_bytes() {
                 "round {round}: stale u16 bytes leaked"
             );
             buf.iter_mut().for_each(|v| *v = 0xBEEF);
-            if lcg(&mut state) % 4 != 0 {
+            if !lcg(&mut state).is_multiple_of(4) {
                 pool.put_u16(buf);
             }
         } else {
@@ -47,7 +47,7 @@ fn randomized_take_put_sequences_never_leak_stale_bytes() {
                 "round {round}: stale u32 bytes leaked"
             );
             buf.iter_mut().for_each(|v| *v = 0xDEAD_BEEF);
-            if lcg(&mut state) % 4 != 0 {
+            if !lcg(&mut state).is_multiple_of(4) {
                 pool.put_u32(buf);
             }
         }

@@ -8,8 +8,8 @@
 //! with output, annotated with the fault-tolerance level actually achieved.
 
 use preflight_core::{
-    AlgoNgst, BatchLayout, BitPixel, BitVoter, Kernel, MedianSmoother, Obs, SeriesPreprocessor,
-    TuneDecision, ValuePixel, VoterScratch,
+    AlgoNgst, BatchLayout, BitPixel, BitVoter, Exec, Kernel, MedianSmoother, SeriesPreprocessor,
+    ValuePixel,
 };
 use serde::Serialize;
 use std::fmt;
@@ -90,91 +90,21 @@ impl<T: BitPixel + ValuePixel> SeriesPreprocessor<T> for LadderStage {
         self.level().name()
     }
 
-    fn preprocess(&self, series: &mut [T]) -> usize {
-        match self {
-            LadderStage::Algo(algo) => algo.preprocess(series),
-            LadderStage::Voter(voter) => voter.preprocess(series),
-            LadderStage::Median(median) => median.preprocess(series),
-            LadderStage::Passthrough => 0,
-        }
-    }
-
-    fn preprocess_with(&self, series: &mut [T], scratch: &mut VoterScratch<T>) -> usize {
-        match self {
-            // Only the dynamic algorithm has per-series buffers to recycle;
-            // the simpler rungs fall back to their plain paths.
-            LadderStage::Algo(algo) => algo.preprocess_with(series, scratch),
-            other => other.preprocess(series),
-        }
-    }
-
-    // The kernel-dispatching and batched entry points must forward to the
-    // dynamic algorithm, not inherit the trait defaults: the defaults
-    // ignore the kernel and loop per series, which silently downgraded
-    // every ladder-driven run (the daemon, the pipeline) to the per-series
-    // path no matter which `--kernel` was asked for. The simpler
-    // rungs have a single code path each, so for them the default
-    // behaviour is reproduced explicitly.
-
-    fn preprocess_exec(
-        &self,
-        series: &mut [T],
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-    ) -> usize {
-        match self {
-            LadderStage::Algo(algo) => algo.preprocess_exec(series, scratch, kernel, obs),
-            other => other.preprocess_with(series, scratch),
-        }
-    }
-
     fn batch_layout(&self, kernel: Kernel) -> BatchLayout {
         match self {
-            LadderStage::Algo(algo) => {
-                <AlgoNgst as SeriesPreprocessor<T>>::batch_layout(algo, kernel)
-            }
-            _ => BatchLayout::SeriesMajor,
+            LadderStage::Algo(algo) => SeriesPreprocessor::<T>::batch_layout(algo, kernel),
+            LadderStage::Voter(voter) => SeriesPreprocessor::<T>::batch_layout(voter, kernel),
+            LadderStage::Median(median) => SeriesPreprocessor::<T>::batch_layout(median, kernel),
+            LadderStage::Passthrough => BatchLayout::SeriesMajor,
         }
     }
 
-    fn preprocess_batch_exec(
-        &self,
-        buf: &mut [T],
-        frames: usize,
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-    ) -> usize {
+    fn preprocess_batch(&self, buf: &mut [T], frames: usize, cx: &mut Exec<'_, T>) -> usize {
         match self {
-            LadderStage::Algo(algo) => {
-                algo.preprocess_batch_exec(buf, frames, scratch, kernel, obs)
-            }
-            other => {
-                if frames == 0 {
-                    return 0;
-                }
-                buf.chunks_exact_mut(frames)
-                    .map(|series| other.preprocess_exec(series, scratch, kernel, obs))
-                    .sum()
-            }
-        }
-    }
-
-    fn preprocess_batch_tuned(
-        &self,
-        buf: &mut [T],
-        frames: usize,
-        scratch: &mut VoterScratch<T>,
-        kernel: Kernel,
-        obs: &Obs,
-        decision: Option<&TuneDecision>,
-    ) -> usize {
-        match self {
-            LadderStage::Algo(algo) => {
-                algo.preprocess_batch_tuned(buf, frames, scratch, kernel, obs, decision)
-            }
-            other => other.preprocess_batch_exec(buf, frames, scratch, kernel, obs),
+            LadderStage::Algo(algo) => algo.preprocess_batch(buf, frames, cx),
+            LadderStage::Voter(voter) => voter.preprocess_batch(buf, frames, cx),
+            LadderStage::Median(median) => median.preprocess_batch(buf, frames, cx),
+            LadderStage::Passthrough => 0,
         }
     }
 }
@@ -225,7 +155,10 @@ impl DegradationLadder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use preflight_core::{Sensitivity, Upsilon};
+    use preflight_core::{
+        ImageStack, Obs, Preprocessor, Sensitivity, TuneDecision, Tuner, Upsilon, VoterScratch,
+    };
+    use std::sync::Arc;
 
     fn algo() -> AlgoNgst {
         AlgoNgst::new(Upsilon::new(8).unwrap(), Sensitivity::new(50).unwrap())
@@ -306,6 +239,130 @@ mod tests {
             let mut series = make();
             let changed = SeriesPreprocessor::<u16>::preprocess(&stage, &mut series);
             assert!(changed > 0, "{level} should repair the spike");
+        }
+    }
+
+    /// A calm random walk per coordinate with sparse high-bit flips.
+    fn noisy_stack() -> ImageStack<u16> {
+        let mut st = ImageStack::new(40, 24, 16);
+        let mut state = 0x5DEE_CE66_D1CEu64;
+        for v in st.as_mut_slice() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            *v = 27_000 + (state >> 58) as u16;
+            if state >> 32 & 0xFF < 6 {
+                *v ^= 1 << (10 + (state >> 40 & 0x3) as u32);
+            }
+        }
+        st
+    }
+
+    /// A decision far from [`algo`]'s request, so a dropped decision shows.
+    fn decision() -> TuneDecision {
+        TuneDecision {
+            lambda: Sensitivity::new(95).unwrap(),
+            upsilon: Upsilon::FOUR,
+            window_a_bits: 12,
+            window_c_bits: 2,
+            recalibrations: 0,
+        }
+    }
+
+    /// A tuner whose decision is frozen from the start.
+    #[derive(Debug)]
+    struct Frozen(TuneDecision);
+
+    impl Tuner for Frozen {
+        fn ways(&self) -> u32 {
+            2
+        }
+        fn observe(&self, _frames: u32, _way: u32, _magnitudes: &[u64]) {}
+        fn decision(&self, _bits: u32) -> Option<TuneDecision> {
+            Some(self.0)
+        }
+    }
+
+    fn run<A: SeriesPreprocessor<u16> + Sync>(pp: Preprocessor<A>) -> ImageStack<u16> {
+        let mut st = noisy_stack();
+        pp.run(&mut st);
+        st
+    }
+
+    #[test]
+    fn algo_rung_runs_the_requested_kernel() {
+        // The bit-sliced tallies pin which path ran: a rung that dropped the
+        // kernel would keep the bytes right but leave them at zero.
+        for threads in [1, 2] {
+            for (kernel, bitsliced) in [(Kernel::Bitsliced, true), (Kernel::Scalar, false)] {
+                let obs = Obs::new();
+                let out = run(Preprocessor::new(LadderStage::Algo(algo()))
+                    .kernel(kernel)
+                    .threads(threads)
+                    .observer(&obs));
+                assert_eq!(out, run(Preprocessor::new(algo()).kernel(kernel)));
+                let transposes = obs
+                    .snapshot()
+                    .counter("preprocess_bitslice_transposes_total", None)
+                    .unwrap_or(0);
+                assert_eq!(
+                    transposes > 0,
+                    bitsliced,
+                    "{kernel} on {threads} thread(s): {transposes} transposes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn algo_rung_honours_the_decision_and_lower_rungs_ignore_it() {
+        let d = decision();
+        let tuned = algo().tuned(&d);
+        let untuned = run(Preprocessor::new(LadderStage::Algo(algo())));
+        let direct = run(Preprocessor::new(tuned));
+        assert_ne!(direct, untuned, "the decision must change the output");
+        for kernel in [Kernel::Bitsliced, Kernel::Scalar] {
+            // Through the driver, with the decision from a tuner ...
+            let via_tuner = run(Preprocessor::new(LadderStage::Algo(algo()))
+                .kernel(kernel)
+                .tuner(Arc::new(Frozen(d))));
+            assert_eq!(via_tuner, direct, "{kernel} via the tuner");
+
+            // ... and straight through `Exec`, one tile as a batch.
+            let stage = LadderStage::Algo(algo());
+            let layout = SeriesPreprocessor::<u16>::batch_layout(&stage, kernel);
+            assert_eq!(
+                layout,
+                SeriesPreprocessor::<u16>::batch_layout(&tuned, kernel)
+            );
+            let st = noisy_stack();
+            let (w, h, frames) = (st.width(), st.height(), st.frames());
+            let mut buf = Vec::new();
+            match layout {
+                BatchLayout::SeriesMajor => st.gather_tile_series(0, 0, w, h, &mut buf),
+                BatchLayout::TimeMajor => st.gather_tile_time_major(0, 0, w, h, &mut buf),
+            }
+            let mut want = buf.clone();
+            let obs = Obs::disabled();
+            let mut scratch = VoterScratch::new();
+            let mut cx = Exec {
+                kernel,
+                scratch: &mut scratch,
+                obs: &obs,
+                decision: Some(&d),
+            };
+            let got_n = stage.preprocess_batch(&mut buf, frames, &mut cx);
+            cx.decision = None;
+            let want_n = tuned.preprocess_batch(&mut want, frames, &mut cx);
+            assert_eq!((got_n, &buf), (want_n, &want), "{kernel} via Exec");
+        }
+
+        for level in [FtLevel::BitVoter, FtLevel::MedianSmoother] {
+            let stage = DegradationLadder::new(None).stage(level).unwrap();
+            let plain = run(Preprocessor::new(stage));
+            let with_decision = run(Preprocessor::new(stage).tuner(Arc::new(Frozen(d))));
+            assert_eq!(with_decision, plain, "{level} must ignore the decision");
+            assert_ne!(plain, noisy_stack(), "{level} must repair something");
         }
     }
 }

@@ -39,7 +39,7 @@ fn main() {
 
     let mut repaired = corrupted.clone();
     let algo = AlgoNgst::new(Upsilon::FOUR, Sensitivity::new(80).expect("valid Λ"));
-    let fixed = preflight::core::preprocess_image(&algo, &mut repaired);
+    let fixed = Preprocessor::new(algo).run_image(&mut repaired);
     let confusion =
         BitConfusion::score(clean.as_slice(), corrupted.as_slice(), repaired.as_slice());
     println!(

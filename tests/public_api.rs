@@ -18,8 +18,8 @@ use preflight::prelude::{
 };
 
 /// Names the prelude must export (the execution API) and names it must
-/// never export again (the PR 2 free-function drivers, now deprecated
-/// shims reachable only through `preflight::core`).
+/// never export again (the free-function stack drivers and the
+/// positional serving entry points, both since deleted).
 const REQUIRED: &[&str] = &[
     "Preprocessor",
     "available_threads",
@@ -36,8 +36,8 @@ const BANNED: &[&str] = &[
     "preprocess_stack_tiled",
     "preprocess_stack_parallel",
     "preprocess_cube_parallel",
-    // PR 9 deprecated the positional serving entry points; the prelude
-    // carries only the builders.
+    // The positional serving entry points; the prelude carries only the
+    // builders.
     "connect_tcp",
     "connect_unix",
     "server::start",
