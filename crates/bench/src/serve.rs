@@ -95,6 +95,12 @@ pub struct ServeReport {
     pub kernel: &'static str,
     /// Resolved SIMD dispatch tier for bit-sliced engines, `-` otherwise.
     pub dispatch_tier: &'static str,
+    /// Wire CRC implementation the daemon and clients ran
+    /// ([`preflight_serve::crc::backend`]).
+    pub crc: &'static str,
+    /// Hardware threads this process may use, so rows taken on a small
+    /// host are read as such.
+    pub available_threads: usize,
 }
 
 fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
@@ -192,6 +198,8 @@ pub fn serve_loadgen(config: &ServeConfig) -> ServeReport {
         degraded_batches,
         kernel: kernel_label(engine_kernel),
         dispatch_tier: tier_label(engine_kernel),
+        crc: preflight_serve::crc::backend(),
+        available_threads: preflight_core::available_threads(),
     }
 }
 
@@ -271,7 +279,9 @@ impl ServeReport {
         let _ = writeln!(out, "  \"batches\": {},", self.batches);
         let _ = writeln!(out, "  \"degraded_batches\": {},", self.degraded_batches);
         let _ = writeln!(out, "  \"kernel\": \"{}\",", self.kernel);
-        let _ = writeln!(out, "  \"dispatch_tier\": \"{}\"", self.dispatch_tier);
+        let _ = writeln!(out, "  \"dispatch_tier\": \"{}\",", self.dispatch_tier);
+        let _ = writeln!(out, "  \"crc\": \"{}\",", self.crc);
+        let _ = writeln!(out, "  \"available_threads\": {}", self.available_threads);
         out.push_str("}\n");
         out
     }
@@ -933,6 +943,11 @@ mod tests {
         assert!(json.contains(&format!(
             "\"dispatch_tier\": \"{}\"",
             preflight_core::dispatch_tier().name()
+        )));
+        assert!(json.contains(&format!("\"crc\": \"{}\"", preflight_serve::crc::backend())));
+        assert!(json.contains(&format!(
+            "\"available_threads\": {}",
+            preflight_core::available_threads()
         )));
         let count = |c| json.matches(c).count();
         assert_eq!(count('{'), count('}'));

@@ -130,9 +130,7 @@ pub fn dispatch_tier() -> DispatchTier {
         _ => {
             static DETECTED: OnceLock<DispatchTier> = OnceLock::new();
             *DETECTED.get_or_init(|| {
-                let forced = std::env::var_os("PREFLIGHT_FORCE_PORTABLE")
-                    .is_some_and(|v| !v.is_empty() && v != "0");
-                if forced {
+                if portable_forced() {
                     DispatchTier::Portable
                 } else {
                     best_tier()
@@ -140,6 +138,14 @@ pub fn dispatch_tier() -> DispatchTier {
             })
         }
     }
+}
+
+/// Whether the `PREFLIGHT_FORCE_PORTABLE` environment variable (set to
+/// anything but empty or `0`) pins every runtime-dispatched path — this
+/// kernel's tier and the serving layer's CRC — to its portable fallback.
+/// Reads the environment on each call; callers cache their decision.
+pub fn portable_forced() -> bool {
+    std::env::var_os("PREFLIGHT_FORCE_PORTABLE").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Resolves the default dispatch tier. On x86-64 with AVX2 available this

@@ -529,22 +529,46 @@ mod tests {
     use crate::wire::{decode_message, encode_message, HEAD_LEN};
 
     fn submit(frames: usize) -> Message {
-        let stack = ImageStack::from_vec(
-            4,
-            3,
-            frames,
-            (0..4 * 3 * frames as u64)
-                .map(|v| (v * 257 % 65_536) as u16)
-                .collect(),
-        )
-        .unwrap();
+        submit_shaped(Dtype::U16, 4, 3, frames)
+    }
+
+    /// Frame geometries larger than 64 bytes and not a multiple of 16, so
+    /// each streamed frame CRC mixes the carry-less fold with the table
+    /// walk: 7×9 u16 frames are 126 bytes, 17×5 u32 frames 340.
+    const FOLDED_FRAMES: [(Dtype, usize, usize); 2] = [(Dtype::U16, 7, 9), (Dtype::U32, 17, 5)];
+
+    /// Chunk steps on either side of the 16- and 64-byte fold edges.
+    const FOLD_EDGE_STEPS: [usize; 6] = [15, 16, 17, 63, 64, 65];
+
+    fn submit_shaped(dtype: Dtype, width: usize, height: usize, frames: usize) -> Message {
+        let n = (width * height * frames) as u64;
+        let payload = match dtype {
+            Dtype::U16 => FramePayload::U16(
+                ImageStack::from_vec(
+                    width,
+                    height,
+                    frames,
+                    (0..n).map(|v| (v * 257 % 65_536) as u16).collect(),
+                )
+                .unwrap(),
+            ),
+            Dtype::U32 => FramePayload::U32(
+                ImageStack::from_vec(
+                    width,
+                    height,
+                    frames,
+                    (0..n).map(|v| (v * 0x0101_0107) as u32).collect(),
+                )
+                .unwrap(),
+            ),
+        };
         Message::Submit(SubmitRequest {
             request_id: 42,
             stream_id: 7,
             lambda: 80,
             upsilon: 4,
             eos: true,
-            payload: FramePayload::U16(stack),
+            payload,
         })
     }
 
@@ -580,29 +604,49 @@ mod tests {
             let got = drive(&encoded, step).expect("clean submit");
             assert_eq!(got, msg, "chunk step {step}");
         }
+        for (dtype, width, height) in FOLDED_FRAMES {
+            let msg = submit_shaped(dtype, width, height, 5);
+            let encoded = encode_message(&msg);
+            for step in FOLD_EDGE_STEPS.into_iter().chain([1, 4096, encoded.len()]) {
+                let got = drive(&encoded, step).expect("clean submit");
+                assert_eq!(got, msg, "{width}x{height} {dtype:?}, chunk step {step}");
+            }
+        }
     }
 
     #[test]
     fn verdicts_match_parse_body_on_corrupt_envelopes() {
-        let clean = encode_message(&submit(3));
-        // Corrupt single bytes at interesting offsets: prefix fields,
-        // pixel data, a frame CRC, the payload CRC.
-        let offsets = [
-            HEAD_LEN + 16,   // lambda
-            HEAD_LEN + 19,   // dtype
-            HEAD_LEN + 20,   // width
-            HEAD_LEN + 40,   // pixel byte
-            clean.len() - 6, // inside last frame CRC
-            clean.len() - 2, // inside payload CRC
-        ];
-        for &off in &offsets {
-            let mut bad = clean.clone();
-            bad[off] ^= 0x5A;
-            let legacy = decode_message(&bad).map(|(m, _)| m);
-            let streamed = drive(&bad, 13);
-            match (&legacy, &streamed) {
-                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "offset {off}"),
-                (a, b) => panic!("verdict diverged at {off}: legacy {a:?}, streamed {b:?}"),
+        let [folded_a, folded_b] = FOLDED_FRAMES;
+        for (dtype, width, height) in [(Dtype::U16, 4, 3), folded_a, folded_b] {
+            let clean = encode_message(&submit_shaped(dtype, width, height, 3));
+            // Corrupt single bytes at interesting offsets: prefix fields,
+            // pixel data, a frame CRC, the payload CRC.
+            let offsets = [
+                HEAD_LEN + 16,   // lambda
+                HEAD_LEN + 19,   // dtype
+                HEAD_LEN + 20,   // width
+                HEAD_LEN + 40,   // pixel byte
+                clean.len() - 6, // inside last frame CRC
+                clean.len() - 2, // inside payload CRC
+            ];
+            for &off in &offsets {
+                let mut bad = clean.clone();
+                bad[off] ^= 0x5A;
+                let legacy = decode_message(&bad).map(|(m, _)| m);
+                for step in [13].into_iter().chain(FOLD_EDGE_STEPS) {
+                    let streamed = drive(&bad, step);
+                    match (&legacy, &streamed) {
+                        (Err(a), Err(b)) => assert_eq!(
+                            a.to_string(),
+                            b.to_string(),
+                            "{width}x{height} {dtype:?}, offset {off}, step {step}"
+                        ),
+                        (a, b) => panic!(
+                            "verdict diverged at {off} ({width}x{height} {dtype:?}, step \
+                             {step}): legacy {a:?}, streamed {b:?}"
+                        ),
+                    }
+                }
             }
         }
     }

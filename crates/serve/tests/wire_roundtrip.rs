@@ -17,6 +17,12 @@ fn lcg(state: &mut u64) -> u64 {
     *state
 }
 
+/// Frame geometries larger than 64 bytes and not a multiple of 16, so each
+/// frame CRC runs the carry-less fold (where the CPU has it) and then the
+/// table walk over a short tail: 7×9 u16 frames are 126 bytes, 17×5 u32
+/// frames 340.
+const FOLDED_FRAMES: [(Dtype, usize, usize); 2] = [(Dtype::U16, 7, 9), (Dtype::U32, 17, 5)];
+
 fn payload_for(
     dtype: Dtype,
     width: usize,
@@ -75,6 +81,17 @@ proptest! {
             payload: payload_for(dtype, width, height, frames, seed),
         });
         prop_assert_eq!(roundtrip(&msg), msg);
+        for (dtype, width, height) in FOLDED_FRAMES {
+            let msg = Message::Submit(SubmitRequest {
+                request_id,
+                stream_id,
+                lambda,
+                upsilon: upsilon_half * 2,
+                eos,
+                payload: payload_for(dtype, width, height, frames, seed),
+            });
+            prop_assert_eq!(roundtrip(&msg), msg);
+        }
     }
 
     #[test]
@@ -92,19 +109,28 @@ proptest! {
         service_us in any::<u64>(),
     ) {
         let dtype = if dtype_is_u32 { Dtype::U32 } else { Dtype::U16 };
+        let stats = RequestStats {
+            samples_changed,
+            bits_flipped,
+            voter_agreement_permille: agreement,
+            queue_wait_us,
+            service_us,
+            ..RequestStats::default()
+        };
         let msg = Message::Response(SubmitResponse {
             request_id,
-            stats: RequestStats {
-                samples_changed,
-                bits_flipped,
-                voter_agreement_permille: agreement,
-                queue_wait_us,
-                service_us,
-                ..RequestStats::default()
-            },
+            stats,
             payload: payload_for(dtype, width, height, frames, seed),
         });
         prop_assert_eq!(roundtrip(&msg), msg);
+        for (dtype, width, height) in FOLDED_FRAMES {
+            let msg = Message::Response(SubmitResponse {
+                request_id,
+                stats,
+                payload: payload_for(dtype, width, height, frames, seed),
+            });
+            prop_assert_eq!(roundtrip(&msg), msg);
+        }
     }
 
     #[test]
@@ -142,48 +168,54 @@ proptest! {
         seed in any::<u64>(),
         cut_num in 0u64..=1_000_000,
     ) {
-        let msg = Message::Submit(SubmitRequest {
-            request_id: 1,
-            stream_id: 2,
-            lambda: 80,
-            upsilon: 4,
-            eos: true,
-            payload: payload_for(Dtype::U16, 4, 4, frames, seed),
-        });
-        let bytes = encode_message(&msg);
-        // Any strict prefix must be rejected, and as Truncated/Io — not
-        // misparsed into some other message.
-        let cut = (cut_num as usize) % bytes.len();
-        match decode_message(&bytes[..cut]) {
-            Ok(_) => return Err(TestCaseError::fail(format!(
-                "prefix of {cut}/{} bytes decoded successfully",
-                bytes.len()
-            ))),
-            Err(WireError::Truncated(_)) | Err(WireError::Io(_)) => {}
-            Err(e) => return Err(TestCaseError::fail(format!(
-                "prefix of {cut} bytes failed with unexpected error: {e:?}"
-            ))),
+        let [folded_a, folded_b] = FOLDED_FRAMES;
+        for (dtype, width, height) in [(Dtype::U16, 4, 4), folded_a, folded_b] {
+            let msg = Message::Submit(SubmitRequest {
+                request_id: 1,
+                stream_id: 2,
+                lambda: 80,
+                upsilon: 4,
+                eos: true,
+                payload: payload_for(dtype, width, height, frames, seed),
+            });
+            let bytes = encode_message(&msg);
+            // Any strict prefix must be rejected, and as Truncated/Io — not
+            // misparsed into some other message.
+            let cut = (cut_num as usize) % bytes.len();
+            match decode_message(&bytes[..cut]) {
+                Ok(_) => return Err(TestCaseError::fail(format!(
+                    "prefix of {cut}/{} bytes decoded successfully",
+                    bytes.len()
+                ))),
+                Err(WireError::Truncated(_)) | Err(WireError::Io(_)) => {}
+                Err(e) => return Err(TestCaseError::fail(format!(
+                    "prefix of {cut} bytes failed with unexpected error: {e:?}"
+                ))),
+            }
         }
     }
 
     #[test]
     fn payload_corruption_is_rejected(frames in 1usize..=4, seed in any::<u64>(), pick in any::<u64>(), xor in 1u8..=255) {
-        let msg = Message::Submit(SubmitRequest {
-            request_id: 1,
-            stream_id: 2,
-            lambda: 80,
-            upsilon: 4,
-            eos: false,
-            payload: payload_for(Dtype::U32, 3, 3, frames, seed),
-        });
-        let mut bytes = encode_message(&msg);
-        // Flip one byte anywhere past the header. Whatever field it lands
-        // in, decode must fail: the envelope CRC covers the whole payload.
-        let lo = 10;
-        let hi = bytes.len();
-        let idx = lo + (pick as usize) % (hi - lo);
-        bytes[idx] ^= xor;
-        prop_assert!(decode_message(&bytes).is_err());
+        let [folded_a, folded_b] = FOLDED_FRAMES;
+        for (dtype, width, height) in [(Dtype::U32, 3, 3), folded_a, folded_b] {
+            let msg = Message::Submit(SubmitRequest {
+                request_id: 1,
+                stream_id: 2,
+                lambda: 80,
+                upsilon: 4,
+                eos: false,
+                payload: payload_for(dtype, width, height, frames, seed),
+            });
+            let mut bytes = encode_message(&msg);
+            // Flip one byte anywhere past the header. Whatever field it lands
+            // in, decode must fail: the envelope CRC covers the whole payload.
+            let lo = 10;
+            let hi = bytes.len();
+            let idx = lo + (pick as usize) % (hi - lo);
+            bytes[idx] ^= xor;
+            prop_assert!(decode_message(&bytes).is_err());
+        }
     }
 }
 
