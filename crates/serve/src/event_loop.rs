@@ -13,14 +13,15 @@
 //!   listener accepts, acquires the connection permit, and round-robins
 //!   the accepted fd to its peers over a handoff channel + waker.
 //!
-//! The per-connection data path is zero-copy on little-endian hosts:
+//! The per-connection data path is zero-copy:
 //!
 //! - **Ingest**: `Submit` payload bytes are read off the socket *directly
 //!   into* a pooled, engine-ready pixel buffer ([`crate::ingest::Ingest`]),
 //!   with both CRC layers folded as bytes land — no intermediate body
 //!   `Vec`, no re-parse, exactly one payload copy (socket → pool).
 //! - **Egress**: responses are never re-encoded into a contiguous buffer.
-//!   The loop keeps the engine's pooled stack, encodes head + stats +
+//!   The loop keeps the engine's pooled stack, puts its words in wire order
+//!   in place (the identity on little-endian hosts), encodes head + stats +
 //!   frame CRCs into a small reused scratch, and `writev`s the segments
 //!   straight from the stack ([`crate::poll::writev_fd`]). Once the last
 //!   byte hits the wire the stack returns to the [`BufferPool`].
@@ -28,8 +29,9 @@
 //! Every PR 3/PR 9 hardening invariant is preserved bit for bit:
 //!
 //! - **CRC framing + checked geometry**: `parse_head` unchanged; the
-//!   streaming decoder defers errors so its verdicts (and their order of
-//!   precedence) match `parse_body` exactly.
+//!   streaming decoder is the same one `parse_body` and `read_message`
+//!   drive, so every transport gets the same verdicts in the same order
+//!   of precedence.
 //! - **`Busy` admission**: the request gate at submit, the connection gate
 //!   at accept — an over-cap accept still gets a best-effort `Busy` reply,
 //!   never a silent close.
@@ -82,7 +84,6 @@ const FREE_MSGS: usize = 4;
 /// Wire type code of [`Message::Response`] — the vectored reply encoder
 /// writes the envelope head itself and never materialises the `Message`.
 /// Pinned against the real encoder by `segments_match_encode_message`.
-#[cfg(target_endian = "little")]
 const RESPONSE_TYPE_CODE: u8 = 2;
 
 /// An accepted Unix connection in flight from the listener-owning shard to
@@ -160,8 +161,7 @@ impl Sock {
 enum Seg {
     /// `scratch[start..end]`.
     Scratch { start: usize, end: usize },
-    /// The little-endian bytes of frame `frame` of the attached stack.
-    #[cfg(target_endian = "little")]
+    /// The wire bytes of frame `frame` of the attached stack.
     Frame { frame: usize, len: usize },
 }
 
@@ -183,7 +183,6 @@ impl OutMsg {
     fn seg_len(&self, idx: usize) -> usize {
         match self.segs[idx] {
             Seg::Scratch { start, end } => end - start,
-            #[cfg(target_endian = "little")]
             Seg::Frame { len, .. } => len,
         }
     }
@@ -192,7 +191,6 @@ impl OutMsg {
     fn seg_slice(&self, idx: usize, off: usize) -> &[u8] {
         match self.segs[idx] {
             Seg::Scratch { start, end } => &self.scratch[start + off..end],
-            #[cfg(target_endian = "little")]
             Seg::Frame { frame, len } => {
                 let stack = self.stack.as_ref().expect("frame segment without stack");
                 &frame_le_bytes(stack, frame)[off..len]
@@ -201,11 +199,20 @@ impl OutMsg {
     }
 }
 
-#[cfg(target_endian = "little")]
+/// The wire bytes of one frame of a stack already in wire order.
 fn frame_le_bytes(payload: &FramePayload, frame: usize) -> &[u8] {
     match payload {
         FramePayload::U16(s) => crate::bytes::le_view(s.frame(frame)),
         FramePayload::U32(s) => crate::bytes::le_view(s.frame(frame)),
+    }
+}
+
+/// Puts an owned reply stack's words in wire order, so its frames can be
+/// sent as in-place views (the identity on little-endian hosts).
+fn to_wire_order(payload: &mut FramePayload) {
+    match payload {
+        FramePayload::U16(s) => crate::bytes::reorder_le(s.as_mut_slice()),
+        FramePayload::U32(s) => crate::bytes::reorder_le(s.as_mut_slice()),
     }
 }
 
@@ -936,12 +943,10 @@ fn retire_msg(conn: &mut Conn, mut msg: OutMsg, pool: &BufferPool) {
 /// Routes one engine reply into the connection's out-queue: responses take
 /// the segmented zero-copy path, everything else the compact encoder.
 fn route_reply(conn: &mut Conn, msg: Message) {
-    #[cfg(target_endian = "little")]
-    let msg = match msg {
-        Message::Response(resp) => return queue_response(conn, resp),
-        other => other,
-    };
-    queue_reply(conn, &msg);
+    match msg {
+        Message::Response(resp) => queue_response(conn, resp),
+        other => queue_reply(conn, &other),
+    }
 }
 
 /// Salvages the pooled buffer of a reply whose connection is gone.
@@ -969,13 +974,11 @@ fn queue_reply(conn: &mut Conn, msg: &Message) {
 /// the in-place views and land in scratch. Byte-identical to
 /// [`encode_message`] (pinned by a test below) at zero allocations and
 /// zero pixel copies.
-#[cfg(target_endian = "little")]
 fn queue_response(conn: &mut Conn, resp: crate::wire::SubmitResponse) {
     let msg = response_out_msg(take_msg(&mut conn.free), resp);
     conn.out.push_back(msg);
 }
 
-#[cfg(target_endian = "little")]
 fn response_out_msg(mut msg: OutMsg, resp: crate::wire::SubmitResponse) -> OutMsg {
     use crate::wire::{encode_stats, put_u32, put_u64, MAGIC, VERSION};
     msg.scratch.extend_from_slice(&MAGIC);
@@ -984,7 +987,8 @@ fn response_out_msg(mut msg: OutMsg, resp: crate::wire::SubmitResponse) -> OutMs
     put_u32(&mut msg.scratch, 0); // payload length, patched below
     put_u64(&mut msg.scratch, resp.request_id);
     encode_stats(&resp.stats, &mut msg.scratch);
-    let payload = resp.payload;
+    let mut payload = resp.payload;
+    to_wire_order(&mut payload);
     msg.scratch.push(payload.dtype().code());
     put_u32(&mut msg.scratch, payload.width() as u32);
     put_u32(&mut msg.scratch, payload.height() as u32);
@@ -1161,7 +1165,7 @@ fn wire_error_reply(e: &crate::wire::WireError) -> Message {
     })
 }
 
-#[cfg(all(test, target_endian = "little"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::telemetry::RequestStats;

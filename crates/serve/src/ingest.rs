@@ -1,54 +1,51 @@
-//! Streaming, zero-copy decode of inbound envelopes.
+//! Streaming decode of envelope bodies: the one decoder of the wire
+//! protocol.
 //!
-//! The PR 9 event loop buffered every payload into a `Vec<u8>`, then
-//! [`crate::wire::parse_body`] re-walked it: one CRC pass, one per-sample
-//! decode pass, one `ImageStack` allocation — three touches of every
-//! payload byte plus an allocation per request. [`Ingest`] replaces that
-//! for the hot message type: `Submit` pixel bytes are read off the socket
-//! *directly into* a pooled, engine-ready stack buffer (the exactly-one
-//! payload copy), with both CRC layers folded incrementally as bytes land.
+//! [`Ingest`] takes a body (everything after the 10-byte head) in whatever
+//! pieces the transport delivers. For the two pixel-carrying messages,
+//! `Submit` and `Response`, the fixed prefix before the first pixel is
+//! collected in a small array and parsed by [`wire::parse_frame_prefix`];
+//! pixel bytes then land directly in a pooled, engine-ready stack buffer
+//! (the one payload copy), with both CRC layers folded as they arrive.
+//! Each completed frame gets one in-place pass from wire to host order,
+//! which is the identity on little-endian hosts. Control messages collect
+//! in a buffer that grows with the bytes received and are decoded by
+//! [`wire::decode_payload`].
 //!
-//! Everything else — control messages, `Submit`s too short to carry the
-//! fixed 32-byte prefix, and big-endian hosts where memory order differs
-//! from wire order — takes the `Buffered` phase, which reproduces the
-//! legacy path byte for byte.
+//! The daemon's event loop drives an `Ingest` from non-blocking sockets;
+//! [`read_body`] drives one from a blocking reader, and through it
+//! [`wire::read_message`], [`wire::parse_body`] and
+//! [`wire::decode_message`] decode.
 //!
-//! **Error precedence is part of the wire contract.** The legacy decoder
-//! verifies the envelope payload CRC before looking at any field, so a
-//! corrupted transfer reports `CrcMismatch{payload}` even when the
-//! corruption also mangled, say, the dtype byte. A streaming decoder meets
-//! that ordering by *deferring*: the first validation failure is
-//! remembered, the remaining payload is consumed through the running CRC
-//! only (`Discard`), and the verdict at end-of-envelope is (1) payload CRC
-//! mismatch if any, else (2) the remembered error, else (3) the message.
+//! **Error precedence is part of the wire contract.** A body's verdict is
+//! (1) `CrcMismatch{payload}` if the envelope CRC does not match, else (2)
+//! the first field error in payload order (`Truncated`, `Malformed` or
+//! `CrcMismatch{frame}`), else (3) the message. The first field error is
+//! remembered and the rest of the payload is consumed through the payload
+//! CRC only (`Discard`), so a corrupted transfer reports the CRC mismatch
+//! even when the corruption also mangled, say, the dtype byte.
 
 use crate::crc::Crc32;
 use crate::pool::BufferPool;
-use crate::wire::{self, Dtype, FramePayload, Message, SubmitRequest, WireError};
+use crate::server::BODY_CHUNK;
+use crate::wire::{self, Dtype, FrameHeader, FramePayload, Geometry, Message, WireError};
 use preflight_core::ImageStack;
+use std::io::Read;
 use std::sync::Arc;
 
-/// Growth step for byte buffers, matching the event loop's read chunk: a
-/// connection's memory tracks the bytes it has actually sent, so a peer
-/// declaring a huge payload and stalling pins one chunk, not the
-/// declaration.
-const CHUNK: usize = 256 * 1024;
-
-/// Fixed byte length of a `Submit` payload before the first pixel:
-/// request id (8) + stream id (8) + lambda/upsilon/flags (3) + dtype (1) +
-/// width/height/frames (12).
-const SUBMIT_PREFIX: usize = 32;
+/// Size of the prefix array: the longer of the two pixel-message prefixes.
+const PREFIX_CAP: usize = wire::RESPONSE_PREFIX;
+const _: () = assert!(wire::SUBMIT_PREFIX <= PREFIX_CAP);
 
 /// Scratch size for the `Discard` phase (error path only).
 const DISCARD_CHUNK: usize = 4096;
 
-/// A pooled pixel buffer being filled straight off the socket.
+/// A pooled pixel buffer being filled straight off the transport.
 enum StackBuf {
     U16(Vec<u16>),
     U32(Vec<u32>),
 }
 
-#[cfg(target_endian = "little")]
 impl StackBuf {
     /// Takes from the pool (full-length, zeroed) or starts empty for
     /// incremental growth on a miss.
@@ -56,13 +53,6 @@ impl StackBuf {
         match dtype {
             Dtype::U16 => StackBuf::U16(pool.try_take_u16(samples).unwrap_or_default()),
             Dtype::U32 => StackBuf::U32(pool.try_take_u32(samples).unwrap_or_default()),
-        }
-    }
-
-    fn len_bytes(&self) -> usize {
-        match self {
-            StackBuf::U16(v) => v.len() * 2,
-            StackBuf::U32(v) => v.len() * 4,
         }
     }
 
@@ -81,7 +71,7 @@ impl StackBuf {
         }
     }
 
-    /// A mutable wire-byte window over `[byte_off, byte_off + len)`.
+    /// A mutable byte window over `[byte_off, byte_off + len)`.
     fn window(&mut self, byte_off: usize, len: usize) -> &mut [u8] {
         match self {
             StackBuf::U16(v) => crate::bytes::le_window(v, byte_off, len),
@@ -89,17 +79,22 @@ impl StackBuf {
         }
     }
 
-    fn into_payload(
-        self,
-        width: usize,
-        height: usize,
-        frames: usize,
-    ) -> Result<FramePayload, WireError> {
+    /// Puts the words of frame `frame` (`frame_len` samples each), whose
+    /// wire bytes have all landed, in host order.
+    fn frame_to_host(&mut self, frame: usize, frame_len: usize) {
+        let words = frame * frame_len..(frame + 1) * frame_len;
         match self {
-            StackBuf::U16(v) => ImageStack::from_vec(width, height, frames, v)
+            StackBuf::U16(v) => crate::bytes::reorder_le(&mut v[words]),
+            StackBuf::U32(v) => crate::bytes::reorder_le(&mut v[words]),
+        }
+    }
+
+    fn into_payload(self, g: &Geometry) -> Result<FramePayload, WireError> {
+        match self {
+            StackBuf::U16(v) => ImageStack::from_vec(g.width, g.height, g.frames, v)
                 .map(FramePayload::U16)
                 .map_err(|e| WireError::Malformed(e.to_string())),
-            StackBuf::U32(v) => ImageStack::from_vec(width, height, frames, v)
+            StackBuf::U32(v) => ImageStack::from_vec(g.width, g.height, g.frames, v)
                 .map(FramePayload::U32)
                 .map_err(|e| WireError::Malformed(e.to_string())),
         }
@@ -115,58 +110,59 @@ impl StackBuf {
     }
 }
 
-/// Fields of a `Submit` prefix once parsed and validated.
-#[cfg(target_endian = "little")]
-struct SubmitMeta {
-    request_id: u64,
-    stream_id: u64,
-    lambda: u8,
-    upsilon: u8,
-    eos: bool,
-    width: usize,
-    height: usize,
-    frames: usize,
-    frame_bytes: usize,
-    samples: usize,
+/// The payload as decoded so far.
+enum Body {
+    /// A control message's payload bytes, grown as they arrive.
+    Control(Vec<u8>),
+    /// A pixel-carrying message's first `len` payload bytes (its prefix,
+    /// or the whole payload when that is shorter), still arriving.
+    Prefix { buf: [u8; PREFIX_CAP], len: usize },
+    /// A pixel-carrying message: its validated prefix and the stack its
+    /// pixels land in.
+    Frames {
+        header: FrameHeader,
+        geometry: Geometry,
+        stack: StackBuf,
+    },
+    /// The first field error; the rest of the payload only feeds the
+    /// payload CRC.
+    Failed(WireError),
 }
 
+/// Where in the body the next bytes belong.
 enum Phase {
-    /// Legacy path: the whole payload + trailing CRC accumulate in one
-    /// grow-as-received byte buffer, finished by [`wire::parse_body`].
-    Buffered { buf: Vec<u8>, filled: usize },
-    /// Streaming `Submit`: accumulating the fixed 32-byte prefix.
-    #[cfg(target_endian = "little")]
-    Prefix {
-        buf: [u8; SUBMIT_PREFIX],
-        filled: usize,
-    },
-    /// Streaming `Submit`: pixel bytes of frame `frame` land directly in
-    /// the pooled stack buffer.
-    #[cfg(target_endian = "little")]
+    /// Payload bytes go to the buffer of [`Body::Control`] or
+    /// [`Body::Prefix`].
+    Buffer,
+    /// Pixel bytes of frame `frame` land directly in the stack buffer.
     Pixels {
         frame: usize,
         off: usize,
         frame_crc: Crc32,
     },
-    /// Streaming `Submit`: the 4-byte CRC trailing frame `frame`;
-    /// `actual` is the CRC of the pixel bytes just received.
-    #[cfg(target_endian = "little")]
+    /// The 4-byte CRC trailing frame `frame`; `actual` is the CRC of the
+    /// pixel bytes just received.
     FrameCrc {
         frame: usize,
         got: [u8; 4],
         filled: usize,
         actual: u32,
     },
-    /// A validation error was recorded: consume the rest of the payload
-    /// through the payload CRC only.
-    #[cfg(target_endian = "little")]
+    /// After a field error: the rest of the payload passes through here.
     Discard { buf: Vec<u8> },
     /// The 4-byte envelope payload CRC.
-    #[cfg(target_endian = "little")]
     TrailCrc { got: [u8; 4], filled: usize },
     /// Everything received; [`Ingest::finish`] may be called.
-    #[cfg(target_endian = "little")]
     Done { trail: u32 },
+}
+
+impl Phase {
+    fn trail_crc() -> Phase {
+        Phase::TrailCrc {
+            got: [0u8; 4],
+            filled: 0,
+        }
+    }
 }
 
 /// Incremental decoder for one envelope body (everything after the
@@ -179,98 +175,70 @@ pub(crate) struct Ingest {
     consumed: usize,
     payload_crc: Crc32,
     phase: Phase,
-    #[cfg(target_endian = "little")]
+    body: Body,
     pool: Arc<BufferPool>,
-    #[cfg(target_endian = "little")]
-    meta: Option<SubmitMeta>,
-    #[cfg(target_endian = "little")]
-    stack: Option<StackBuf>,
-    #[cfg(target_endian = "little")]
-    first_err: Option<WireError>,
 }
 
 impl Ingest {
     /// Starts decoding a body of `payload_len` bytes (+ 4 CRC bytes) for
     /// an envelope whose head declared `type_code`.
     pub(crate) fn new(type_code: u8, payload_len: usize, pool: &Arc<BufferPool>) -> Ingest {
-        #[cfg(not(target_endian = "little"))]
-        let _ = pool;
-        let phase = {
-            #[cfg(target_endian = "little")]
-            {
-                if type_code == 1 && payload_len >= SUBMIT_PREFIX {
-                    Phase::Prefix {
-                        buf: [0u8; SUBMIT_PREFIX],
-                        filled: 0,
-                    }
-                } else {
-                    Phase::Buffered {
-                        buf: Vec::new(),
-                        filled: 0,
-                    }
-                }
-            }
-            #[cfg(not(target_endian = "little"))]
-            {
-                Phase::Buffered {
-                    buf: Vec::new(),
-                    filled: 0,
-                }
-            }
+        let body = match wire::frame_prefix_len(type_code) {
+            Some(len) => Body::Prefix {
+                buf: [0u8; PREFIX_CAP],
+                len: len.min(payload_len),
+            },
+            None => Body::Control(Vec::new()),
         };
-        Ingest {
+        let mut ingest = Ingest {
             type_code,
             payload_len,
             consumed: 0,
             payload_crc: Crc32::new(),
-            phase,
-            #[cfg(target_endian = "little")]
+            phase: Phase::Buffer,
+            body,
             pool: Arc::clone(pool),
-            #[cfg(target_endian = "little")]
-            meta: None,
-            #[cfg(target_endian = "little")]
-            stack: None,
-            #[cfg(target_endian = "little")]
-            first_err: None,
+        };
+        // An empty payload has no bytes to complete its buffer.
+        if payload_len == 0 {
+            ingest.buffer_filled();
         }
+        ingest
     }
 
-    /// The next destination for socket bytes. An empty window means the
+    /// The next destination for body bytes. An empty window means the
     /// envelope is complete — call [`Ingest::finish`].
     pub(crate) fn window(&mut self) -> &mut [u8] {
-        let payload_len = self.payload_len;
         match &mut self.phase {
-            Phase::Buffered { buf, filled } => {
-                let total = payload_len + 4;
-                if *filled == buf.len() && buf.len() < total {
-                    let grown = total.min(buf.len() + CHUNK);
-                    buf.resize(grown, 0);
+            Phase::Buffer => match &mut self.body {
+                Body::Control(buf) => {
+                    if self.consumed == buf.len() {
+                        buf.resize(self.payload_len.min(buf.len() + BODY_CHUNK), 0);
+                    }
+                    &mut buf[self.consumed..]
                 }
-                &mut buf[*filled..]
-            }
-            #[cfg(target_endian = "little")]
-            Phase::Prefix { buf, filled } => &mut buf[*filled..],
-            #[cfg(target_endian = "little")]
+                Body::Prefix { buf, len } => &mut buf[self.consumed..*len],
+                _ => unreachable!("buffer phase without a buffer"),
+            },
             Phase::Pixels { frame, off, .. } => {
-                let meta = self.meta.as_ref().expect("pixels phase without meta");
-                let start = *frame * meta.frame_bytes + *off;
-                let len = (meta.frame_bytes - *off).min(CHUNK);
-                let stack = self.stack.as_mut().expect("pixels phase without stack");
-                stack.ensure_bytes(start + len, meta.samples);
-                // A pool hit is already full-length; a miss grew above.
-                debug_assert!(stack.len_bytes() >= start + len);
+                let Body::Frames {
+                    geometry, stack, ..
+                } = &mut self.body
+                else {
+                    unreachable!("pixels phase without a stack");
+                };
+                let start = *frame * geometry.frame_bytes + *off;
+                let len = (geometry.frame_bytes - *off).min(BODY_CHUNK);
+                // A pool hit is already full-length; a miss grows here.
+                stack.ensure_bytes(start + len, geometry.samples);
                 stack.window(start, len)
             }
-            #[cfg(target_endian = "little")]
             Phase::FrameCrc { got, filled, .. } => &mut got[*filled..],
-            #[cfg(target_endian = "little")]
             Phase::Discard { buf } => {
-                let len = (payload_len - self.consumed).min(DISCARD_CHUNK);
+                let len = (self.payload_len - self.consumed).min(DISCARD_CHUNK);
                 &mut buf[..len]
             }
-            #[cfg(target_endian = "little")]
             Phase::TrailCrc { got, filled } => &mut got[*filled..],
-            #[cfg(target_endian = "little")]
             Phase::Done { .. } => &mut [],
         }
     }
@@ -282,37 +250,36 @@ impl Ingest {
             return;
         }
         match &mut self.phase {
-            Phase::Buffered { filled, .. } => {
-                *filled += n;
-            }
-            #[cfg(target_endian = "little")]
-            Phase::Prefix { buf, filled } => {
-                *filled += n;
+            Phase::Buffer => {
+                let buf = match &self.body {
+                    Body::Control(buf) => &buf[..],
+                    Body::Prefix { buf, .. } => &buf[..],
+                    _ => unreachable!("buffer phase without a buffer"),
+                };
+                self.payload_crc
+                    .update(&buf[self.consumed..self.consumed + n]);
                 self.consumed += n;
-                if *filled == SUBMIT_PREFIX {
-                    let prefix = *buf;
-                    self.payload_crc.update(&prefix);
-                    self.on_prefix(&prefix);
-                }
+                self.buffer_filled();
             }
-            #[cfg(target_endian = "little")]
             Phase::Pixels {
                 frame,
                 off,
                 frame_crc,
             } => {
-                let meta = self.meta.as_ref().expect("pixels phase without meta");
-                let start = *frame * meta.frame_bytes + *off;
-                let frame_done = {
-                    let stack = self.stack.as_mut().expect("pixels phase without stack");
-                    let bytes = &stack.window(start, n)[..];
-                    self.payload_crc.update(bytes);
-                    frame_crc.update(bytes);
-                    *off += n;
-                    *off == meta.frame_bytes
+                let Body::Frames {
+                    geometry, stack, ..
+                } = &mut self.body
+                else {
+                    unreachable!("pixels phase without a stack");
                 };
+                let start = *frame * geometry.frame_bytes + *off;
+                let bytes = &stack.window(start, n)[..];
+                self.payload_crc.update(bytes);
+                frame_crc.update(bytes);
+                *off += n;
                 self.consumed += n;
-                if frame_done {
+                if *off == geometry.frame_bytes {
+                    stack.frame_to_host(*frame, geometry.width * geometry.height);
                     self.phase = Phase::FrameCrc {
                         frame: *frame,
                         got: [0u8; 4],
@@ -321,7 +288,6 @@ impl Ingest {
                     };
                 }
             }
-            #[cfg(target_endian = "little")]
             Phase::FrameCrc {
                 frame,
                 got,
@@ -334,48 +300,39 @@ impl Ingest {
                 if *filled == 4 {
                     let expected = u32::from_le_bytes(*got);
                     let (frame, actual) = (*frame, *actual);
+                    let Body::Frames { geometry, .. } = &self.body else {
+                        unreachable!("frame CRC phase without a stack");
+                    };
+                    let frames = geometry.frames;
+                    let trailing = self.payload_len - self.consumed;
                     if expected != actual {
                         self.fail(WireError::CrcMismatch {
                             scope: "frame",
                             expected,
                             actual,
                         });
+                    } else if frame + 1 < frames {
+                        self.phase = Phase::Pixels {
+                            frame: frame + 1,
+                            off: 0,
+                            frame_crc: Crc32::new(),
+                        };
+                    } else if trailing > 0 {
+                        self.fail(WireError::Malformed(format!(
+                            "{trailing} trailing byte(s) after message body"
+                        )));
                     } else {
-                        let frames = self.meta.as_ref().map(|m| m.frames).unwrap_or(0);
-                        if frame + 1 == frames {
-                            let trailing = self.payload_len - self.consumed;
-                            if trailing > 0 {
-                                self.fail(WireError::Malformed(format!(
-                                    "{trailing} trailing byte(s) after message body"
-                                )));
-                            } else {
-                                self.phase = Phase::TrailCrc {
-                                    got: [0u8; 4],
-                                    filled: 0,
-                                };
-                            }
-                        } else {
-                            self.phase = Phase::Pixels {
-                                frame: frame + 1,
-                                off: 0,
-                                frame_crc: Crc32::new(),
-                            };
-                        }
+                        self.phase = Phase::trail_crc();
                     }
                 }
             }
-            #[cfg(target_endian = "little")]
             Phase::Discard { buf } => {
                 self.payload_crc.update(&buf[..n]);
                 self.consumed += n;
                 if self.consumed == self.payload_len {
-                    self.phase = Phase::TrailCrc {
-                        got: [0u8; 4],
-                        filled: 0,
-                    };
+                    self.phase = Phase::trail_crc();
                 }
             }
-            #[cfg(target_endian = "little")]
             Phase::TrailCrc { got, filled } => {
                 *filled += n;
                 if *filled == 4 {
@@ -384,93 +341,54 @@ impl Ingest {
                     };
                 }
             }
-            #[cfg(target_endian = "little")]
             Phase::Done { .. } => unreachable!("consume after completion"),
         }
     }
 
-    /// Parses and validates the 32-byte `Submit` prefix, in exactly the
-    /// order the legacy decoder checks fields, then opens the pixel phase
-    /// (or starts discarding behind a remembered error).
-    #[cfg(target_endian = "little")]
-    fn on_prefix(&mut self, p: &[u8; SUBMIT_PREFIX]) {
-        let u64at = |i: usize| u64::from_le_bytes(p[i..i + 8].try_into().unwrap());
-        let u32at = |i: usize| u32::from_le_bytes(p[i..i + 4].try_into().unwrap());
-        let (request_id, stream_id) = (u64at(0), u64at(8));
-        let (lambda, upsilon, flags, dtype_code) = (p[16], p[17], p[18], p[19]);
-        let (width, height, frames) = (u32at(20) as usize, u32at(24) as usize, u32at(28) as usize);
-        if lambda > 100 {
-            return self.fail(WireError::Malformed(format!(
-                "lambda {lambda} out of 0..=100"
-            )));
+    /// Leaves the buffer phase once the buffer is complete: a control
+    /// payload goes on to its trailing CRC, a prefix to its parse.
+    fn buffer_filled(&mut self) {
+        match &self.body {
+            Body::Control(_) if self.consumed == self.payload_len => {
+                self.phase = Phase::trail_crc();
+            }
+            Body::Prefix { buf, len } if self.consumed == *len => {
+                let (prefix, len) = (*buf, *len);
+                self.on_prefix(&prefix[..len]);
+            }
+            _ => {}
         }
-        if upsilon < 2 || upsilon % 2 != 0 || upsilon > 16 {
-            return self.fail(WireError::Malformed(format!(
-                "upsilon {upsilon} must be even and in 2..=16"
-            )));
-        }
-        let dtype = match Dtype::from_code(dtype_code) {
-            Ok(d) => d,
-            Err(e) => return self.fail(e),
-        };
-        if width == 0 || height == 0 || frames == 0 {
-            return self.fail(WireError::Malformed(format!(
-                "zero dimension in {width}x{height}x{frames} stack"
-            )));
-        }
-        let Some(frame_len) = width.checked_mul(height) else {
-            return self.fail(WireError::Malformed("frame area overflows".to_owned()));
-        };
-        let Some(frame_bytes) = frame_len.checked_mul(dtype.bytes()) else {
-            return self.fail(WireError::Malformed("frame size overflows".to_owned()));
-        };
-        let Some(declared) = frame_bytes
-            .checked_add(4)
-            .and_then(|per_frame| per_frame.checked_mul(frames))
-        else {
-            return self.fail(WireError::Malformed("stack size overflows".to_owned()));
-        };
-        if declared > self.payload_len - SUBMIT_PREFIX {
-            return self.fail(WireError::Truncated("frame data"));
-        }
-        let Some(samples) = frame_len.checked_mul(frames) else {
-            return self.fail(WireError::Malformed("stack size overflows".to_owned()));
-        };
-        self.stack = Some(StackBuf::take(&self.pool, dtype, samples));
-        self.meta = Some(SubmitMeta {
-            request_id,
-            stream_id,
-            lambda,
-            upsilon,
-            eos: flags & 1 != 0,
-            width,
-            height,
-            frames,
-            frame_bytes,
-            samples,
-        });
-        self.phase = Phase::Pixels {
-            frame: 0,
-            off: 0,
-            frame_crc: Crc32::new(),
-        };
     }
 
-    /// Records the first validation failure and switches to discarding
-    /// the rest of the payload (payload-CRC-only).
-    #[cfg(target_endian = "little")]
-    fn fail(&mut self, err: WireError) {
-        if self.first_err.is_none() {
-            self.first_err = Some(err);
+    /// Parses and validates a pixel-carrying message's prefix, then opens
+    /// the pixel phase (or starts discarding behind a recorded error).
+    fn on_prefix(&mut self, prefix: &[u8]) {
+        match wire::parse_frame_prefix(self.type_code, prefix, self.payload_len) {
+            Ok((header, geometry)) => {
+                let stack = StackBuf::take(&self.pool, geometry.dtype, geometry.samples);
+                self.body = Body::Frames {
+                    header,
+                    geometry,
+                    stack,
+                };
+                self.phase = Phase::Pixels {
+                    frame: 0,
+                    off: 0,
+                    frame_crc: Crc32::new(),
+                };
+            }
+            Err(e) => self.fail(e),
         }
-        if let Some(stack) = self.stack.take() {
+    }
+
+    /// Records the first field error and switches to discarding the rest
+    /// of the payload (payload-CRC-only).
+    fn fail(&mut self, err: WireError) {
+        if let Body::Frames { stack, .. } = std::mem::replace(&mut self.body, Body::Failed(err)) {
             stack.recycle(&self.pool);
         }
         self.phase = if self.consumed == self.payload_len {
-            Phase::TrailCrc {
-                got: [0u8; 4],
-                filled: 0,
-            }
+            Phase::trail_crc()
         } else {
             Phase::Discard {
                 buf: vec![0u8; DISCARD_CHUNK],
@@ -478,71 +396,80 @@ impl Ingest {
         };
     }
 
-    /// Finishes a fully received envelope into its message (or the error
-    /// the legacy decoder would have reported).
+    /// Finishes a fully received envelope into its message, or the error
+    /// the precedence rule above picks.
     pub(crate) fn finish(self) -> Result<Message, WireError> {
-        match self.phase {
-            Phase::Buffered { buf, filled } => {
-                debug_assert_eq!(filled, self.payload_len + 4);
-                let (payload, crc_bytes) = buf.split_at(self.payload_len);
-                let wire_crc =
-                    u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-                wire::parse_body(self.type_code, payload, wire_crc)
+        let Phase::Done { trail } = self.phase else {
+            unreachable!("finish before completion");
+        };
+        let actual = self.payload_crc.finish();
+        if trail != actual {
+            if let Body::Frames { stack, .. } = self.body {
+                stack.recycle(&self.pool);
             }
-            #[cfg(target_endian = "little")]
-            Phase::Done { trail } => {
-                let actual = self.payload_crc.finish();
-                if trail != actual {
-                    if let Some(stack) = self.stack {
-                        stack.recycle(&self.pool);
-                    }
-                    return Err(WireError::CrcMismatch {
-                        scope: "payload",
-                        expected: trail,
-                        actual,
-                    });
-                }
-                if let Some(err) = self.first_err {
-                    return Err(err);
-                }
-                let meta = self.meta.expect("clean finish without meta");
-                let stack = self.stack.expect("clean finish without stack");
-                let payload = stack.into_payload(meta.width, meta.height, meta.frames)?;
-                Ok(Message::Submit(SubmitRequest {
-                    request_id: meta.request_id,
-                    stream_id: meta.stream_id,
-                    lambda: meta.lambda,
-                    upsilon: meta.upsilon,
-                    eos: meta.eos,
-                    payload,
-                }))
-            }
-            #[cfg(target_endian = "little")]
-            _ => unreachable!("finish before completion"),
+            return Err(WireError::CrcMismatch {
+                scope: "payload",
+                expected: trail,
+                actual,
+            });
         }
+        match self.body {
+            Body::Control(buf) => wire::decode_payload(self.type_code, &buf),
+            Body::Frames {
+                header,
+                geometry,
+                stack,
+            } => Ok(header.into_message(stack.into_payload(&geometry)?)),
+            Body::Failed(err) => Err(err),
+            Body::Prefix { .. } => unreachable!("finish with the prefix unparsed"),
+        }
+    }
+}
+
+/// Decodes one body of `payload_len` bytes (+ its 4-byte CRC) from a
+/// blocking reader. Each read fills one [`Ingest::window`], so memory
+/// tracks the bytes received rather than the declared length. The pool is
+/// private: nothing decoded here is ever handed back.
+pub(crate) fn read_body(
+    type_code: u8,
+    payload_len: usize,
+    r: &mut impl Read,
+) -> Result<Message, WireError> {
+    let mut ingest = Ingest::new(type_code, payload_len, &Arc::new(BufferPool::detached()));
+    loop {
+        let window = ingest.window();
+        let n = window.len();
+        if n == 0 {
+            return ingest.finish();
+        }
+        r.read_exact(window)?;
+        ingest.consume(n);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_message, encode_message, HEAD_LEN};
+    use crate::crc::crc32;
+    use crate::telemetry::RequestStats;
+    use crate::wire::{
+        decode_message, encode_message, parse_body, SubmitRequest, SubmitResponse, HEAD_LEN,
+    };
 
-    fn submit(frames: usize) -> Message {
-        submit_shaped(Dtype::U16, 4, 3, frames)
-    }
+    /// 4×3 u16 frames, then geometries larger than 64 bytes and not a
+    /// multiple of 16, so each streamed frame CRC mixes the carry-less fold
+    /// with the table walk: 7×9 u16 frames are 126 bytes, 17×5 u32 frames
+    /// 340.
+    const GEOMETRIES: [(Dtype, usize, usize); 3] =
+        [(Dtype::U16, 4, 3), (Dtype::U16, 7, 9), (Dtype::U32, 17, 5)];
 
-    /// Frame geometries larger than 64 bytes and not a multiple of 16, so
-    /// each streamed frame CRC mixes the carry-less fold with the table
-    /// walk: 7×9 u16 frames are 126 bytes, 17×5 u32 frames 340.
-    const FOLDED_FRAMES: [(Dtype, usize, usize); 2] = [(Dtype::U16, 7, 9), (Dtype::U32, 17, 5)];
+    /// Chunk steps: single bytes, an odd step, either side of the 16- and
+    /// 64-byte fold edges, and whole windows.
+    const STEPS: [usize; 9] = [1, 13, 15, 16, 17, 63, 64, 65, usize::MAX];
 
-    /// Chunk steps on either side of the 16- and 64-byte fold edges.
-    const FOLD_EDGE_STEPS: [usize; 6] = [15, 16, 17, 63, 64, 65];
-
-    fn submit_shaped(dtype: Dtype, width: usize, height: usize, frames: usize) -> Message {
+    fn stack(dtype: Dtype, width: usize, height: usize, frames: usize) -> FramePayload {
         let n = (width * height * frames) as u64;
-        let payload = match dtype {
+        match dtype {
             Dtype::U16 => FramePayload::U16(
                 ImageStack::from_vec(
                     width,
@@ -561,15 +488,36 @@ mod tests {
                 )
                 .unwrap(),
             ),
-        };
-        Message::Submit(SubmitRequest {
-            request_id: 42,
-            stream_id: 7,
-            lambda: 80,
-            upsilon: 4,
-            eos: true,
-            payload,
-        })
+        }
+    }
+
+    /// A `Submit` and a `Response` in every test geometry, with the
+    /// envelope offset of their first pixel.
+    fn messages(frames: usize) -> Vec<(Message, usize)> {
+        let mut out = Vec::new();
+        for (dtype, width, height) in GEOMETRIES {
+            let submit = Message::Submit(SubmitRequest {
+                request_id: 42,
+                stream_id: 7,
+                lambda: 80,
+                upsilon: 4,
+                eos: true,
+                payload: stack(dtype, width, height, frames),
+            });
+            let response = Message::Response(SubmitResponse {
+                request_id: 42,
+                stats: RequestStats {
+                    samples_changed: 17,
+                    bits_flipped: 23,
+                    service_us: 1234,
+                    ..RequestStats::default()
+                },
+                payload: stack(dtype, width, height, frames),
+            });
+            out.push((submit, HEAD_LEN + wire::SUBMIT_PREFIX));
+            out.push((response, HEAD_LEN + wire::RESPONSE_PREFIX));
+        }
+        out
     }
 
     /// Feeds an encoded envelope's body through an `Ingest` in chunks of
@@ -596,55 +544,192 @@ mod tests {
         ingest.finish()
     }
 
-    #[test]
-    fn streams_a_submit_identically_to_the_legacy_decoder() {
-        let msg = submit(5);
-        let encoded = encode_message(&msg);
-        for step in [1, 3, 7, 32, 33, 4096, encoded.len()] {
-            let got = drive(&encoded, step).expect("clean submit");
-            assert_eq!(got, msg, "chunk step {step}");
+    fn verdict(result: Result<Message, WireError>) -> String {
+        match result {
+            Ok(msg) => format!("accepted {msg:?}"),
+            Err(e) => e.to_string(),
         }
-        for (dtype, width, height) in FOLDED_FRAMES {
-            let msg = submit_shaped(dtype, width, height, 5);
+    }
+
+    /// The verdict an envelope whose payload CRC does not match must get.
+    fn payload_mismatch(envelope: &[u8]) -> String {
+        let (payload, trail) = envelope[HEAD_LEN..].split_at(envelope.len() - HEAD_LEN - 4);
+        WireError::CrcMismatch {
+            scope: "payload",
+            expected: u32::from_le_bytes(trail.try_into().unwrap()),
+            actual: crc32(payload),
+        }
+        .to_string()
+    }
+
+    /// The verdict for frame bytes at `at` whose CRC does not match.
+    fn frame_mismatch(envelope: &[u8], at: usize, frame_bytes: usize) -> String {
+        let crc_at = at + frame_bytes;
+        WireError::CrcMismatch {
+            scope: "frame",
+            expected: u32::from_le_bytes(envelope[crc_at..crc_at + 4].try_into().unwrap()),
+            actual: crc32(&envelope[at..crc_at]),
+        }
+        .to_string()
+    }
+
+    /// Patches the length field to the envelope's actual payload length.
+    fn fix_len(envelope: &mut [u8]) {
+        let len = (envelope.len() - HEAD_LEN - 4) as u32;
+        envelope[6..HEAD_LEN].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Recomputes the payload CRC, so only the checks inside the payload
+    /// can see an edit.
+    fn reseal(envelope: &[u8]) -> Vec<u8> {
+        let mut out = envelope.to_vec();
+        let crc_at = out.len() - 4;
+        let crc = crc32(&out[HEAD_LEN..crc_at]);
+        out[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn streams_submits_and_responses_at_every_chunk_step() {
+        for (msg, _) in messages(5) {
             let encoded = encode_message(&msg);
-            for step in FOLD_EDGE_STEPS.into_iter().chain([1, 4096, encoded.len()]) {
-                let got = drive(&encoded, step).expect("clean submit");
-                assert_eq!(got, msg, "{width}x{height} {dtype:?}, chunk step {step}");
+            for step in STEPS {
+                let got = drive(&encoded, step).expect("clean message");
+                assert_eq!(got, msg, "chunk step {step}");
             }
         }
     }
 
     #[test]
+    fn corruptions_get_their_exact_verdicts() {
+        const FRAMES: usize = 3;
+        for (msg, first_pixel) in messages(FRAMES) {
+            let clean = encode_message(&msg);
+            let (kind, payload) = match &msg {
+                Message::Submit(s) => ("Submit", &s.payload),
+                Message::Response(r) => ("Response", &r.payload),
+                _ => unreachable!("messages() builds pixel messages only"),
+            };
+            let frame_bytes = payload.width() * payload.height() * payload.dtype().bytes();
+            let set = |at: usize, v: u8| {
+                let mut bad = clean.clone();
+                bad[at] = v;
+                bad
+            };
+            let flip = |at: usize| {
+                let mut bad = clean.clone();
+                bad[at] ^= 0x5A;
+                bad
+            };
+            // (corruption, envelope, verdict once resealed; `None` when
+            // resealing restores the clean message).
+            let mut cases: Vec<(&str, Vec<u8>, Option<String>)> = Vec::new();
+            match msg {
+                Message::Submit(_) => cases.push((
+                    "lambda",
+                    set(HEAD_LEN + 16, 0xFF),
+                    Some("malformed message: lambda 255 out of 0..=100".to_owned()),
+                )),
+                // A `Response` has no lambda; its validated header field
+                // is the ladder rung, 44 bytes into the stats trailer.
+                _ => cases.push((
+                    "ladder rung",
+                    set(HEAD_LEN + 8 + 44, 0xEE),
+                    Some("malformed message: unknown ladder rung 238".to_owned()),
+                )),
+            }
+            cases.push((
+                "dtype",
+                set(first_pixel - 13, 7),
+                Some("malformed message: unknown dtype code 7".to_owned()),
+            ));
+            cases.push((
+                "width",
+                set(first_pixel - 12, payload.width() as u8 + 1),
+                Some("payload truncated while reading frame data".to_owned()),
+            ));
+            let pixel = flip(first_pixel);
+            let pixel_verdict = frame_mismatch(&pixel, first_pixel, frame_bytes);
+            cases.push(("pixel byte", pixel, Some(pixel_verdict)));
+            let last_frame = first_pixel + (FRAMES - 1) * (frame_bytes + 4);
+            let frame_crc = flip(last_frame + frame_bytes);
+            let frame_crc_verdict = frame_mismatch(&frame_crc, last_frame, frame_bytes);
+            cases.push(("frame CRC", frame_crc, Some(frame_crc_verdict)));
+            cases.push(("payload CRC", flip(clean.len() - 2), None));
+            let mut trailing = clean.clone();
+            let crc_at = trailing.len() - 4;
+            trailing.splice(crc_at..crc_at, [9, 9, 9]);
+            fix_len(&mut trailing);
+            cases.push((
+                "trailing bytes",
+                trailing,
+                Some("malformed message: 3 trailing byte(s) after message body".to_owned()),
+            ));
+
+            for (what, bad, resealed_verdict) in cases {
+                let sealed = reseal(&bad);
+                let label = format!(
+                    "{kind} {}x{} {:?}, {what}",
+                    payload.width(),
+                    payload.height(),
+                    payload.dtype()
+                );
+                for step in STEPS {
+                    assert_eq!(
+                        verdict(drive(&bad, step)),
+                        payload_mismatch(&bad),
+                        "{label}, unsealed, step {step}"
+                    );
+                    match &resealed_verdict {
+                        Some(want) => assert_eq!(
+                            &verdict(drive(&sealed, step)),
+                            want,
+                            "{label}, resealed, step {step}"
+                        ),
+                        None => assert_eq!(drive(&sealed, step).unwrap(), msg, "{label}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Decodes an envelope through the public buffered entry point,
+    /// [`wire::parse_body`], which reads each window whole.
+    fn parse_envelope(envelope: &[u8]) -> Result<Message, WireError> {
+        let (type_code, len) = wire::parse_head(envelope[..HEAD_LEN].try_into().unwrap())?;
+        let (payload, trail) = envelope[HEAD_LEN..].split_at(len as usize);
+        parse_body(
+            type_code,
+            payload,
+            u32::from_le_bytes(trail.try_into().unwrap()),
+        )
+    }
+
+    #[test]
     fn verdicts_match_parse_body_on_corrupt_envelopes() {
-        let [folded_a, folded_b] = FOLDED_FRAMES;
-        for (dtype, width, height) in [(Dtype::U16, 4, 3), folded_a, folded_b] {
-            let clean = encode_message(&submit_shaped(dtype, width, height, 3));
+        for (msg, first_pixel) in messages(3) {
+            let clean = encode_message(&msg);
             // Corrupt single bytes at interesting offsets: prefix fields,
             // pixel data, a frame CRC, the payload CRC.
             let offsets = [
-                HEAD_LEN + 16,   // lambda
-                HEAD_LEN + 19,   // dtype
-                HEAD_LEN + 20,   // width
-                HEAD_LEN + 40,   // pixel byte
-                clean.len() - 6, // inside last frame CRC
-                clean.len() - 2, // inside payload CRC
+                HEAD_LEN + 16,    // lambda (Submit), stats (Response)
+                first_pixel - 13, // dtype
+                first_pixel - 12, // width
+                first_pixel,      // pixel byte
+                clean.len() - 6,  // inside last frame CRC
+                clean.len() - 2,  // inside payload CRC
             ];
             for &off in &offsets {
                 let mut bad = clean.clone();
                 bad[off] ^= 0x5A;
-                let legacy = decode_message(&bad).map(|(m, _)| m);
-                for step in [13].into_iter().chain(FOLD_EDGE_STEPS) {
-                    let streamed = drive(&bad, step);
-                    match (&legacy, &streamed) {
-                        (Err(a), Err(b)) => assert_eq!(
-                            a.to_string(),
-                            b.to_string(),
-                            "{width}x{height} {dtype:?}, offset {off}, step {step}"
-                        ),
-                        (a, b) => panic!(
-                            "verdict diverged at {off} ({width}x{height} {dtype:?}, step \
-                             {step}): legacy {a:?}, streamed {b:?}"
-                        ),
+                for envelope in [reseal(&bad), bad] {
+                    let buffered = verdict(parse_envelope(&envelope));
+                    for step in STEPS {
+                        assert_eq!(
+                            verdict(drive(&envelope, step)),
+                            buffered,
+                            "{msg:?}, offset {off}, step {step}"
+                        );
                     }
                 }
             }
@@ -653,33 +738,30 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_reported_like_legacy() {
-        // Rebuild the envelope with 3 junk bytes appended to the payload
+        // Rebuild each envelope with 3 junk bytes appended to the payload
         // (length + CRC adjusted so only the trailing check can fire).
-        let clean = encode_message(&submit(2));
-        let payload_len = u32::from_le_bytes(clean[6..10].try_into().unwrap()) as usize;
-        let mut payload = clean[HEAD_LEN..HEAD_LEN + payload_len].to_vec();
-        payload.extend_from_slice(&[9, 9, 9]);
-        let mut tampered = clean[..6].to_vec();
-        tampered.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        tampered.extend_from_slice(&payload);
-        tampered.extend_from_slice(&crate::crc::crc32(&payload).to_le_bytes());
-        let legacy = decode_message(&tampered).map(|(m, _)| m);
-        let streamed = drive(&tampered, 8);
-        match (&legacy, &streamed) {
-            (Err(a), Err(b)) => {
-                assert!(a.to_string().contains("trailing byte"), "{a}");
-                assert_eq!(a.to_string(), b.to_string());
+        for (msg, _) in messages(2) {
+            let clean = encode_message(&msg);
+            let mut tampered = clean.clone();
+            let crc_at = tampered.len() - 4;
+            tampered.splice(crc_at..crc_at, [9, 9, 9]);
+            fix_len(&mut tampered);
+            let tampered = reseal(&tampered);
+            let legacy = verdict(decode_message(&tampered).map(|(m, _)| m));
+            assert!(legacy.contains("trailing byte"), "{legacy}");
+            for step in STEPS {
+                assert_eq!(verdict(drive(&tampered, step)), legacy, "step {step}");
             }
-            (a, b) => panic!("verdict diverged: legacy {a:?}, streamed {b:?}"),
         }
     }
 
     #[test]
     fn control_messages_take_the_buffered_path() {
-        let msg = Message::Ping(99);
-        let encoded = encode_message(&msg);
-        for step in [1, 4, encoded.len()] {
-            assert_eq!(drive(&encoded, step).unwrap(), msg);
+        for msg in [Message::Ping(99), Message::Drain, Message::StatsRequest] {
+            let encoded = encode_message(&msg);
+            for step in [1, 4, encoded.len()] {
+                assert_eq!(drive(&encoded, step).unwrap(), msg);
+            }
         }
     }
 }

@@ -17,6 +17,13 @@
 //! The decoder is strict: a bad magic, unknown version or message type,
 //! oversized length, truncated payload or CRC mismatch all fail with a
 //! typed [`WireError`] and never panic, whatever bytes arrive.
+//!
+//! There is one decoder: the streaming state machine in `ingest`, which
+//! the daemon drives from its sockets and [`read_message`],
+//! [`parse_body`] and [`decode_message`] drive from a reader or a slice.
+//! This module owns the field layout it reads: the prefix of `Submit` and
+//! `Response` (parameters, stats trailer and checked geometry, validated
+//! once in `parse_frame_prefix`) and the control-message bodies.
 
 use crate::crc::crc32;
 use crate::telemetry::{ft_level_code, ft_level_from_code, RequestStats};
@@ -198,80 +205,6 @@ impl FramePayload {
         match self {
             FramePayload::U16(s) => frames_into(s, out),
             FramePayload::U32(s) => frames_into(s, out),
-        }
-    }
-
-    fn decode_from(r: &mut SliceReader<'_>) -> Result<Self, WireError> {
-        let dtype = Dtype::from_code(r.u8("dtype")?)?;
-        let width = r.u32("width")? as usize;
-        let height = r.u32("height")? as usize;
-        let frames = r.u32("frames")? as usize;
-        if width == 0 || height == 0 || frames == 0 {
-            return Err(WireError::Malformed(format!(
-                "zero dimension in {width}x{height}x{frames} stack"
-            )));
-        }
-        let frame_len = width
-            .checked_mul(height)
-            .ok_or_else(|| WireError::Malformed("frame area overflows".to_owned()))?;
-        let frame_bytes = frame_len
-            .checked_mul(dtype.bytes())
-            .ok_or_else(|| WireError::Malformed("frame size overflows".to_owned()))?;
-        // The declared geometry is untrusted: before allocating anything
-        // sized by it, require that the payload actually carries that many
-        // bytes (frame_bytes of pixels + a 4-byte CRC per frame).
-        let declared = frame_bytes
-            .checked_add(4)
-            .and_then(|per_frame| per_frame.checked_mul(frames))
-            .ok_or_else(|| WireError::Malformed("stack size overflows".to_owned()))?;
-        if declared > r.remaining() {
-            return Err(WireError::Truncated("frame data"));
-        }
-        let samples = frame_len
-            .checked_mul(frames)
-            .ok_or_else(|| WireError::Malformed("stack size overflows".to_owned()))?;
-        fn frames_from<T: crate::bytes::WireWord>(
-            r: &mut SliceReader<'_>,
-            width: usize,
-            height: usize,
-            frames: usize,
-            frame_bytes: usize,
-            samples: usize,
-        ) -> Result<ImageStack<T>, WireError> {
-            let mut data = Vec::with_capacity(samples);
-            for _ in 0..frames {
-                let raw = r.bytes(frame_bytes, "frame data")?;
-                let expected = r.u32("frame CRC")?;
-                let actual = crc32(raw);
-                if expected != actual {
-                    return Err(WireError::CrcMismatch {
-                        scope: "frame",
-                        expected,
-                        actual,
-                    });
-                }
-                crate::bytes::extend_from_le(&mut data, raw);
-            }
-            ImageStack::from_vec(width, height, frames, data)
-                .map_err(|e| WireError::Malformed(e.to_string()))
-        }
-        match dtype {
-            Dtype::U16 => Ok(FramePayload::U16(frames_from(
-                r,
-                width,
-                height,
-                frames,
-                frame_bytes,
-                samples,
-            )?)),
-            Dtype::U32 => Ok(FramePayload::U32(frames_from(
-                r,
-                width,
-                height,
-                frames,
-                frame_bytes,
-                samples,
-            )?)),
         }
     }
 }
@@ -463,10 +396,6 @@ impl<'a> SliceReader<'a> {
     fn finished(&self) -> bool {
         self.pos == self.buf.len()
     }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -572,6 +501,9 @@ fn decode_snapshot(r: &mut SliceReader<'_>) -> Result<Snapshot, WireError> {
     Ok(snap)
 }
 
+/// Byte length of the per-request stats trailer [`encode_stats`] writes.
+pub(crate) const STATS_LEN: usize = 65;
+
 pub(crate) fn encode_stats(stats: &RequestStats, out: &mut Vec<u8>) {
     put_u64(out, stats.samples_changed);
     put_u64(out, stats.bits_flipped);
@@ -639,10 +571,7 @@ fn encode_payload_into(msg: &Message, p: &mut Vec<u8>) {
         Message::Error(e) => {
             put_u64(p, e.request_id);
             p.push(e.code.code());
-            let bytes = e.message.as_bytes();
-            let len = bytes.len().min(u16::MAX as usize);
-            p.extend_from_slice(&(len as u16).to_le_bytes());
-            p.extend_from_slice(&bytes[..len]);
+            put_str(p, &e.message);
         }
         Message::Drain => {}
         Message::DrainAck(d) => {
@@ -655,9 +584,98 @@ fn encode_payload_into(msg: &Message, p: &mut Vec<u8>) {
     }
 }
 
-fn decode_payload(type_code: u8, payload: &[u8]) -> Result<Message, WireError> {
-    let mut r = SliceReader::new(payload);
-    let msg = match type_code {
+/// Byte length of a stack's geometry on the wire: dtype (1) + width,
+/// height and frames (4 each).
+const GEOMETRY_LEN: usize = 13;
+
+/// Payload bytes of a `Submit` before its first pixel: request id (8) +
+/// stream id (8) + lambda, upsilon and flags (1 each) + geometry.
+pub(crate) const SUBMIT_PREFIX: usize = 19 + GEOMETRY_LEN;
+
+/// Payload bytes of a `Response` before its first pixel: request id (8) +
+/// stats trailer + geometry.
+pub(crate) const RESPONSE_PREFIX: usize = 8 + STATS_LEN + GEOMETRY_LEN;
+
+/// A frame stack's declared geometry, checked against the payload that
+/// carries it.
+pub(crate) struct Geometry {
+    pub(crate) dtype: Dtype,
+    pub(crate) width: usize,
+    pub(crate) height: usize,
+    pub(crate) frames: usize,
+    /// Pixel bytes per frame (its CRC follows them).
+    pub(crate) frame_bytes: usize,
+    /// Samples in the whole stack.
+    pub(crate) samples: usize,
+}
+
+/// The fields a pixel-carrying message holds before its frames.
+pub(crate) enum FrameHeader {
+    Submit {
+        request_id: u64,
+        stream_id: u64,
+        lambda: u8,
+        upsilon: u8,
+        eos: bool,
+    },
+    Response {
+        request_id: u64,
+        /// Boxed so the decoder, which every daemon connection holds
+        /// inline, stays small; only clients decode responses.
+        stats: Box<RequestStats>,
+    },
+}
+
+impl FrameHeader {
+    /// The complete message once its frames are decoded.
+    pub(crate) fn into_message(self, payload: FramePayload) -> Message {
+        match self {
+            FrameHeader::Submit {
+                request_id,
+                stream_id,
+                lambda,
+                upsilon,
+                eos,
+            } => Message::Submit(SubmitRequest {
+                request_id,
+                stream_id,
+                lambda,
+                upsilon,
+                eos,
+                payload,
+            }),
+            FrameHeader::Response { request_id, stats } => Message::Response(SubmitResponse {
+                request_id,
+                stats: *stats,
+                payload,
+            }),
+        }
+    }
+}
+
+/// The prefix length of a pixel-carrying message type (`Submit`,
+/// `Response`); `None` for control messages.
+pub(crate) fn frame_prefix_len(type_code: u8) -> Option<usize> {
+    match type_code {
+        1 => Some(SUBMIT_PREFIX),
+        2 => Some(RESPONSE_PREFIX),
+        _ => None,
+    }
+}
+
+/// Parses and validates the prefix of a pixel-carrying message of a
+/// `payload_len`-byte payload. `prefix` holds the payload's first
+/// `min(frame_prefix_len(type_code), payload_len)` bytes, so a payload
+/// shorter than its prefix fails with the field it ran out in. The
+/// declared geometry is untrusted: it must fit in the rest of the payload
+/// (pixels + a 4-byte CRC per frame) before anything is sized by it.
+pub(crate) fn parse_frame_prefix(
+    type_code: u8,
+    prefix: &[u8],
+    payload_len: usize,
+) -> Result<(FrameHeader, Geometry), WireError> {
+    let mut r = SliceReader::new(prefix);
+    let header = match type_code {
         1 => {
             let request_id = r.u64("request id")?;
             let stream_id = r.u64("stream id")?;
@@ -674,26 +692,62 @@ fn decode_payload(type_code: u8, payload: &[u8]) -> Result<Message, WireError> {
                     "upsilon {upsilon} must be even and in 2..=16"
                 )));
             }
-            let payload = FramePayload::decode_from(&mut r)?;
-            Message::Submit(SubmitRequest {
+            FrameHeader::Submit {
                 request_id,
                 stream_id,
                 lambda,
                 upsilon,
                 eos: flags & 1 != 0,
-                payload,
-            })
+            }
         }
-        2 => {
-            let request_id = r.u64("request id")?;
-            let stats = decode_stats(&mut r)?;
-            let payload = FramePayload::decode_from(&mut r)?;
-            Message::Response(SubmitResponse {
-                request_id,
-                stats,
-                payload,
-            })
-        }
+        2 => FrameHeader::Response {
+            request_id: r.u64("request id")?,
+            stats: Box::new(decode_stats(&mut r)?),
+        },
+        other => return Err(WireError::UnknownType(other)),
+    };
+    let dtype = Dtype::from_code(r.u8("dtype")?)?;
+    let width = r.u32("width")? as usize;
+    let height = r.u32("height")? as usize;
+    let frames = r.u32("frames")? as usize;
+    if width == 0 || height == 0 || frames == 0 {
+        return Err(WireError::Malformed(format!(
+            "zero dimension in {width}x{height}x{frames} stack"
+        )));
+    }
+    let frame_len = width
+        .checked_mul(height)
+        .ok_or_else(|| WireError::Malformed("frame area overflows".to_owned()))?;
+    let frame_bytes = frame_len
+        .checked_mul(dtype.bytes())
+        .ok_or_else(|| WireError::Malformed("frame size overflows".to_owned()))?;
+    let declared = frame_bytes
+        .checked_add(4)
+        .and_then(|per_frame| per_frame.checked_mul(frames))
+        .ok_or_else(|| WireError::Malformed("stack size overflows".to_owned()))?;
+    if declared > payload_len - r.pos {
+        return Err(WireError::Truncated("frame data"));
+    }
+    let samples = frame_len
+        .checked_mul(frames)
+        .ok_or_else(|| WireError::Malformed("stack size overflows".to_owned()))?;
+    Ok((
+        header,
+        Geometry {
+            dtype,
+            width,
+            height,
+            frames,
+            frame_bytes,
+            samples,
+        },
+    ))
+}
+
+/// Decodes a control message (types 3–10) from its CRC-checked payload.
+pub(crate) fn decode_payload(type_code: u8, payload: &[u8]) -> Result<Message, WireError> {
+    let mut r = SliceReader::new(payload);
+    let msg = match type_code {
         3 => Message::Busy(BusyReply {
             request_id: r.u64("request id")?,
             capacity: r.u32("capacity")?,
@@ -702,12 +756,7 @@ fn decode_payload(type_code: u8, payload: &[u8]) -> Result<Message, WireError> {
         4 => {
             let request_id = r.u64("request id")?;
             let code = ErrorCode::from_code(r.u8("error code")?)?;
-            let len = {
-                let b = r.bytes(2, "message length")?;
-                u16::from_le_bytes([b[0], b[1]]) as usize
-            };
-            let raw = r.bytes(len, "message text")?;
-            let message = String::from_utf8_lossy(raw).into_owned();
+            let message = read_str(&mut r, "error message")?;
             Message::Error(ErrorReply {
                 request_id,
                 code,
@@ -788,28 +837,18 @@ pub fn parse_head(head: &[u8; HEAD_LEN]) -> Result<(u8, u32), WireError> {
 
 /// Validates a received payload against its wire CRC and decodes the body.
 pub fn parse_body(type_code: u8, payload: &[u8], wire_crc: u32) -> Result<Message, WireError> {
-    let actual = crc32(payload);
-    if wire_crc != actual {
-        return Err(WireError::CrcMismatch {
-            scope: "payload",
-            expected: wire_crc,
-            actual,
-        });
-    }
-    decode_payload(type_code, payload)
+    let crc = wire_crc.to_le_bytes();
+    crate::ingest::read_body(type_code, payload.len(), &mut payload.chain(&crc[..]))
 }
 
 /// Reads exactly one envelope from `r`, validating magic, version, length
-/// bound and both CRC layers.
+/// bound and both CRC layers. Memory grows with the bytes actually
+/// received, not with the declared payload length.
 pub fn read_message(r: &mut impl Read) -> Result<Message, WireError> {
     let mut head = [0u8; HEAD_LEN];
     r.read_exact(&mut head)?;
     let (type_code, len) = parse_head(&head)?;
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    parse_body(type_code, &payload, u32::from_le_bytes(crc_bytes))
+    crate::ingest::read_body(type_code, len as usize, r)
 }
 
 /// Decodes one envelope from a byte slice (test helper mirroring
@@ -819,4 +858,16 @@ pub fn decode_message(buf: &[u8]) -> Result<(Message, usize), WireError> {
     let before = cursor.len();
     let msg = read_message(&mut cursor)?;
     Ok((msg, before - cursor.len()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_trailer_is_stats_len_bytes() {
+        let mut out = Vec::new();
+        encode_stats(&RequestStats::default(), &mut out);
+        assert_eq!(out.len(), STATS_LEN);
+    }
 }

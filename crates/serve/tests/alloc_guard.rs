@@ -8,10 +8,10 @@
 //! warms the daemon, then measures whole-process allocation over a batch
 //! of requests. The *client* side of the socket still allocates (it
 //! encodes each request and materialises each response, roughly two
-//! payload-sized buffers per round trip), so the budget is expressed as a
-//! multiple of the payload size with client-side traffic accounted for:
-//! the pre-pool daemon cost several payload copies per request on top,
-//! and a regression back to that shape trips the bound.
+//! payload-sized buffers per round trip), so the byte budget is expressed
+//! as a multiple of the payload size with client-side traffic accounted
+//! for: the pre-pool daemon cost several payload copies per request on
+//! top, and a regression back to that shape trips the bound.
 //!
 //! Feature-gated (`alloc-guard`) because a global allocator shim applies
 //! to the entire test binary.
@@ -22,10 +22,11 @@
 #![allow(unsafe_code)]
 
 use preflight_core::ImageStack;
-use preflight_serve::wire::FramePayload;
+use preflight_serve::wire::{read_message, FramePayload, MAGIC, MAX_PAYLOAD, VERSION};
 use preflight_serve::{ClientBuilder, ServerBuilder, SubmitOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -57,8 +58,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The counters are process-wide: tests measuring them take turns.
+static MEASURING: Mutex<()> = Mutex::new(());
+
 #[test]
 fn warm_request_path_stays_inside_the_heap_budget() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     const W: usize = 32;
     const H: usize = 32;
     const FRAMES: usize = 8;
@@ -117,18 +122,18 @@ fn warm_request_path_stays_inside_the_heap_budget() {
 
     handle.drain();
 
-    // The sharp invariant: payload-scale allocations. The client performs
-    // exactly three per round trip (request encode, socket read buffer,
-    // response stack); a warmed daemon performs zero — its payloads live
-    // in pooled buffers and replies leave through reused scratch +
-    // `writev` segments. The historical (pre-pool, pre-writev) daemon
-    // added several more per request, so any count beyond the client's
-    // own three means the zero-alloc path regressed.
+    // The sharp invariant: payload-scale allocations (fresh blocks of 8 KiB
+    // or more). Exactly one happens per round trip: the engine's tile
+    // gather in `Preprocessor::run`. A warmed daemon otherwise decodes into
+    // pooled buffers and replies through reused scratch + `writev`
+    // segments; the client grows its request encode and its reply stack
+    // from small first blocks, so they show in the byte ceiling below, not
+    // here. A decoder that sizes a buffer from the declared payload, or a
+    // daemon back on the pre-pool path, adds more per request and trips it.
     assert!(
-        large <= 3 * MEASURED as u64,
+        large <= MEASURED as u64,
         "{large} payload-scale allocations over {MEASURED} requests \
-         (client accounts for exactly {}) — the pooled daemon path regressed",
-        3 * MEASURED
+         (the engine accounts for exactly {MEASURED}) — the pooled path regressed"
     );
     // And a generous whole-process byte ceiling to catch death by a
     // thousand small allocations: ~3 payload copies of client traffic
@@ -139,4 +144,40 @@ fn warm_request_path_stays_inside_the_heap_budget() {
         "steady-state request path allocates {per_request} B/request \
          (payload is {payload_bytes} B) — heap churn regressed"
     );
+}
+
+#[test]
+fn declared_payload_length_is_not_allocated_up_front() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    // A head declaring the largest legal payload, followed by only 64 body
+    // bytes. For a Submit those bytes open a valid prefix declaring a
+    // 4096×4096×7 u16 stack that fits the declared length; the Response
+    // and Ping heads leave them as prefix or control bytes. Each read must
+    // fail at end of input having allocated what arrived, not 256 MiB.
+    let mut submit_prefix = Vec::new();
+    submit_prefix.extend_from_slice(&1u64.to_le_bytes()); // request id
+    submit_prefix.extend_from_slice(&2u64.to_le_bytes()); // stream id
+    submit_prefix.extend_from_slice(&[80, 4, 1, 0]); // lambda, upsilon, eos, u16
+    for dim in [4096u32, 4096, 7] {
+        submit_prefix.extend_from_slice(&dim.to_le_bytes());
+    }
+    for type_code in [1u8, 2, 7] {
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(VERSION);
+        bytes.push(type_code);
+        bytes.extend_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        bytes.extend_from_slice(&submit_prefix);
+        bytes.resize(10 + 64, 0xA5);
+        let before = BYTES_ALLOCATED.load(Ordering::Relaxed);
+        let result = read_message(&mut bytes.as_slice());
+        let spent = BYTES_ALLOCATED.load(Ordering::Relaxed) - before;
+        assert!(
+            result.is_err(),
+            "type {type_code}: a cut-off body must not decode"
+        );
+        assert!(
+            spent < 1 << 20,
+            "type {type_code}: reading 64 body bytes allocated {spent} B"
+        );
+    }
 }

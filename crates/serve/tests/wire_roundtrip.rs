@@ -44,6 +44,29 @@ fn payload_for(
     }
 }
 
+/// A `Submit` and a `Response` carrying the same frames.
+fn pixel_messages(payload: FramePayload, eos: bool) -> [Message; 2] {
+    [
+        Message::Submit(SubmitRequest {
+            request_id: 1,
+            stream_id: 2,
+            lambda: 80,
+            upsilon: 4,
+            eos,
+            payload: payload.clone(),
+        }),
+        Message::Response(SubmitResponse {
+            request_id: 1,
+            stats: RequestStats {
+                samples_changed: 3,
+                service_us: 250,
+                ..RequestStats::default()
+            },
+            payload,
+        }),
+    ]
+}
+
 fn roundtrip(msg: &Message) -> Message {
     let bytes = encode_message(msg);
     let (decoded, consumed) = decode_message(&bytes).expect("well-formed message must decode");
@@ -170,27 +193,21 @@ proptest! {
     ) {
         let [folded_a, folded_b] = FOLDED_FRAMES;
         for (dtype, width, height) in [(Dtype::U16, 4, 4), folded_a, folded_b] {
-            let msg = Message::Submit(SubmitRequest {
-                request_id: 1,
-                stream_id: 2,
-                lambda: 80,
-                upsilon: 4,
-                eos: true,
-                payload: payload_for(dtype, width, height, frames, seed),
-            });
-            let bytes = encode_message(&msg);
-            // Any strict prefix must be rejected, and as Truncated/Io — not
-            // misparsed into some other message.
-            let cut = (cut_num as usize) % bytes.len();
-            match decode_message(&bytes[..cut]) {
-                Ok(_) => return Err(TestCaseError::fail(format!(
-                    "prefix of {cut}/{} bytes decoded successfully",
-                    bytes.len()
-                ))),
-                Err(WireError::Truncated(_)) | Err(WireError::Io(_)) => {}
-                Err(e) => return Err(TestCaseError::fail(format!(
-                    "prefix of {cut} bytes failed with unexpected error: {e:?}"
-                ))),
+            for msg in pixel_messages(payload_for(dtype, width, height, frames, seed), true) {
+                let bytes = encode_message(&msg);
+                // Any strict prefix must be rejected, and as Truncated/Io —
+                // not misparsed into some other message.
+                let cut = (cut_num as usize) % bytes.len();
+                match decode_message(&bytes[..cut]) {
+                    Ok(_) => return Err(TestCaseError::fail(format!(
+                        "prefix of {cut}/{} bytes decoded successfully",
+                        bytes.len()
+                    ))),
+                    Err(WireError::Truncated(_)) | Err(WireError::Io(_)) => {}
+                    Err(e) => return Err(TestCaseError::fail(format!(
+                        "prefix of {cut} bytes failed with unexpected error: {e:?}"
+                    ))),
+                }
             }
         }
     }
@@ -199,22 +216,17 @@ proptest! {
     fn payload_corruption_is_rejected(frames in 1usize..=4, seed in any::<u64>(), pick in any::<u64>(), xor in 1u8..=255) {
         let [folded_a, folded_b] = FOLDED_FRAMES;
         for (dtype, width, height) in [(Dtype::U32, 3, 3), folded_a, folded_b] {
-            let msg = Message::Submit(SubmitRequest {
-                request_id: 1,
-                stream_id: 2,
-                lambda: 80,
-                upsilon: 4,
-                eos: false,
-                payload: payload_for(dtype, width, height, frames, seed),
-            });
-            let mut bytes = encode_message(&msg);
-            // Flip one byte anywhere past the header. Whatever field it lands
-            // in, decode must fail: the envelope CRC covers the whole payload.
-            let lo = 10;
-            let hi = bytes.len();
-            let idx = lo + (pick as usize) % (hi - lo);
-            bytes[idx] ^= xor;
-            prop_assert!(decode_message(&bytes).is_err());
+            for msg in pixel_messages(payload_for(dtype, width, height, frames, seed), false) {
+                let mut bytes = encode_message(&msg);
+                // Flip one byte anywhere past the header. Whatever field it
+                // lands in, decode must fail: the envelope CRC covers the
+                // whole payload.
+                let lo = 10;
+                let hi = bytes.len();
+                let idx = lo + (pick as usize) % (hi - lo);
+                bytes[idx] ^= xor;
+                prop_assert!(decode_message(&bytes).is_err());
+            }
         }
     }
 }
@@ -253,6 +265,27 @@ fn huge_declared_geometry_is_rejected_before_allocating() {
         match decode_message(&bytes) {
             Err(WireError::Truncated(_)) | Err(WireError::Malformed(_)) => {}
             other => panic!("{w}x{h}x{f} must be rejected cheaply, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn payload_shorter_than_its_prefix_is_truncated() {
+    // Cut each pixel message's payload inside its fixed prefix and seal a
+    // well-formed envelope around the stub: decoding must stop at the
+    // field the payload ran out in. A Submit cut after 20 bytes ends
+    // before the width; a Response cut after 50 inside its stats trailer.
+    let [submit, response] = pixel_messages(payload_for(Dtype::U16, 4, 4, 2, 7), true);
+    for (msg, keep, field) in [(submit, 20, "width"), (response, 50, "batch requests")] {
+        let full = encode_message(&msg);
+        let payload = &full[10..10 + keep];
+        let mut bytes = full[..6].to_vec();
+        bytes.extend_from_slice(&(keep as u32).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&preflight_serve::crc::crc32(payload).to_le_bytes());
+        match decode_message(&bytes) {
+            Err(WireError::Truncated(what)) => assert_eq!(what, field),
+            other => panic!("{keep}-byte payload must be Truncated({field}), got {other:?}"),
         }
     }
 }
