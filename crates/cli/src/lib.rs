@@ -107,7 +107,9 @@ pub fn print_usage() {
          \x20 submit     --in FILE --out FILE (--tcp ADDR | --unix PATH)\n\
          \x20            [--lambda L] [--upsilon U] [--stream N]\n\
          \x20 stats      (--tcp ADDR | --unix PATH)\n\
-         \x20 drain      (--tcp ADDR | --unix PATH)"
+         \x20 drain      (--tcp ADDR | --unix PATH)\n\
+         --threads N is an upper bound: the process core budget grants fewer\n\
+         while other runs hold cores."
     );
 }
 

@@ -164,7 +164,8 @@ impl Opts {
     /// Reads `--threads` and validates the worker count up front: zero
     /// is rejected, and a request beyond the machine's available
     /// parallelism is capped (returning a warning line for the report).
-    /// Shared by `preprocess` and `serve`.
+    /// Shared by `preprocess` and `serve`. The count is an upper bound;
+    /// the process core budget grants fewer while other runs hold cores.
     ///
     /// # Errors
     /// [`CliError::Usage`] if the value is malformed or zero.

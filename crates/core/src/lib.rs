@@ -55,6 +55,7 @@ pub mod algo_ngst;
 pub mod algo_otis;
 pub mod bitslice;
 pub mod bitvote;
+mod budget;
 pub mod container;
 pub mod error;
 pub mod kernel;

@@ -26,7 +26,10 @@ fn print_usage() {
     eprintln!("  --max-conns N        concurrent connections before Busy (default 10240)");
     eprintln!("  --batch-frames N     base batch depth target (default 16)");
     eprintln!("  --batch-delay-ms N   batch flush deadline in ms (default 5)");
-    eprintln!("  --threads N          engine threads per batch (default: cores)");
+    eprintln!("  --threads N          upper bound on engine threads per batch (default: cores);");
+    eprintln!(
+        "                       the process core budget grants fewer while other runs hold cores"
+    );
     eprintln!("  --workers N          concurrent engine workers (default 2)");
     eprintln!("  --shards N           event-loop poll threads (default: min(4, cores))");
     eprintln!("  --kernel NAME        voter kernel: 'bitsliced' (default) or 'scalar'");

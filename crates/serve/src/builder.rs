@@ -100,7 +100,8 @@ impl ServerBuilder {
         self
     }
 
-    /// Engine threads per batch.
+    /// Upper bound on engine threads per batch; the process core budget
+    /// grants fewer while other runs hold cores.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.engine.threads = threads;
         self

@@ -41,7 +41,11 @@ use std::time::Instant;
 /// Engine knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads handed to the [`Preprocessor`] per batch.
+    /// Upper bound on threads handed to the [`Preprocessor`] per batch
+    /// (default: [`available_threads`](preflight_core::available_threads)).
+    /// The process core budget grants fewer while other runs hold cores:
+    /// the batch's own thread always works, and helpers are borrowed only
+    /// from idle cores.
     pub threads: usize,
     /// Voter kernel handed to the [`Preprocessor`] (both are
     /// bit-identical; the SIMD-dispatched bit-sliced kernel is the default,
