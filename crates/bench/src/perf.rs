@@ -1,8 +1,9 @@
 //! Throughput benchmark for the preprocessing engine (`repro perf`).
 //!
-//! Times the three stack drivers of the unified [`Preprocessor`] — the
-//! naive per-coordinate reference loop (`.naive(true)`), the cache-aware
-//! series-major tiled path and the data-parallel worker pool — over a
+//! Times the unified [`Preprocessor`] three ways — the naive
+//! per-coordinate reference loop (`.naive(true)`), the cache-aware tile
+//! driver on one thread (`tiled` rows) and the same driver with helper
+//! threads (`parallel` rows) — over a
 //! synthetic NGST-like cube, in Mpix/s (million samples preprocessed per
 //! second of wall time). Each driver is timed under both voter kernels
 //! (the [`Kernel::Scalar`] oracle and the bit-sliced
@@ -42,7 +43,7 @@ pub struct PerfConfig {
     pub frames: usize,
     /// Timed repetitions per driver; the best (minimum) time is reported.
     pub reps: usize,
-    /// Thread counts to sweep for the parallel driver. Counts above the
+    /// Thread counts to sweep for the `parallel` rows. Counts above the
     /// machine's available parallelism are skipped, not capped.
     pub threads: Vec<usize>,
     /// Voter passes for the multi-pass section (`0` disables it).

@@ -13,14 +13,15 @@
 //! Everything is seeded; `run_sweep` is bit-deterministic run-to-run, so
 //! `BENCH_sweep.json` diffs cleanly across commits.
 
-use preflight_core::{AlgoNgst, ImageStack, NgstConfig, Preprocessor, Sensitivity, Upsilon};
+use preflight_core::{
+    observe_stack, AlgoNgst, ImageStack, NgstConfig, Preprocessor, Sensitivity, Upsilon,
+};
 use preflight_datagen::Gaussian;
 use preflight_faults::{seeded_rng, Uncorrelated};
 use preflight_metrics::psi;
 use preflight_obs::Obs;
 use preflight_tune::{StreamCalibrator, TuneParams, Tuner};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Workload shape for one sweep run.
 #[derive(Debug, Clone, PartialEq)]
@@ -281,21 +282,18 @@ pub fn run_sweep(quick: bool) -> SweepReport {
         }
     }
 
-    // The online calibrator on the same corrupted stack: one warm-up run
-    // to let it observe and freeze, then the tuned decision serves.
-    let cal = Arc::new(StreamCalibrator::new(
-        TuneParams::new(mid_lambda, mid_upsilon),
-        &Obs::disabled(),
-    ));
-    let mut work = corrupted.clone();
-    Preprocessor::new(AlgoNgst::new(mid_upsilon, mid_lambda))
-        .threads(1)
-        .tuner(cal.clone())
-        .run(&mut work);
-    let psi_tuned = psi(clean.as_slice(), work.as_slice());
+    // The online calibrator on the same corrupted stack: it observes the
+    // whole stack and freezes, then the tuned decision serves.
+    let cal = StreamCalibrator::new(TuneParams::new(mid_lambda, mid_upsilon), &Obs::disabled());
+    observe_stack(&cal, &corrupted);
     let decision = cal
         .decision(16)
-        .expect("the calibrator must be warm after a full-stack run");
+        .expect("the calibrator must be warm after a full-stack observation");
+    let mut work = corrupted.clone();
+    Preprocessor::new(AlgoNgst::new(mid_upsilon, mid_lambda).tuned(&decision))
+        .threads(1)
+        .run(&mut work);
+    let psi_tuned = psi(clean.as_slice(), work.as_slice());
     let online = OnlineOutcome {
         tuned_lambda: decision.lambda.value(),
         tuned_upsilon: decision.upsilon.value(),

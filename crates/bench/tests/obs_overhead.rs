@@ -1,9 +1,9 @@
 //! Zero-overhead guard for the observability layer.
 //!
 //! The PR 2 throughput contract (`BENCH_preprocess.json`) was measured
-//! through a bare tiled loop. [`Preprocessor`] wraps that loop in spans,
-//! counters and the tuner hook, whose default handle is `Obs::disabled()`
-//! — so the guard here is that a builder run with observability *off*
+//! through a bare tiled loop. [`Preprocessor`] wraps that loop in spans
+//! and counters, whose default handle is `Obs::disabled()` — so the
+//! guard here is that a builder run with observability *off*
 //! stays within 5 % of the same loop written out by hand (gather, one
 //! `preprocess_batch` call, scatter per tile) on the same machine, same
 //! process, same input (cross-machine wall-clock comparisons against the
@@ -43,7 +43,6 @@ fn hand_tiled(algo: &impl SeriesPreprocessor<u16>, stack: &mut ImageStack<u16>, 
         kernel,
         scratch: &mut scratch,
         obs: &obs,
-        decision: None,
     };
     let mut buf = Vec::new();
     for ty in (0..stack.height()).step_by(tile) {

@@ -246,22 +246,25 @@ fn cmd_preprocess(opts: &Opts) -> Result<String, CliError> {
         (Obs::disabled(), None)
     };
     let calibrator = if opts.has("auto-tune") {
-        Some(std::sync::Arc::new(StreamCalibrator::new(
+        Some(StreamCalibrator::new(
             TuneParams::new(Sensitivity::new(lambda)?, Upsilon::new(upsilon)?),
             &obs,
-        )))
+        ))
     } else {
         None
     };
     let start = std::time::Instant::now();
-    let mut driver = Preprocessor::new(&algo)
+    // Observe, then decide, before any tile runs: the whole run uses one
+    // frozen decision, so tuned output is the same for any thread count.
+    let decision = calibrator.as_ref().and_then(|cal| {
+        preflight::core::observe_stack(cal, &stack);
+        cal.decision(16)
+    });
+    let corrected = Preprocessor::new(decision.as_ref().map_or(algo, |d| algo.tuned(d)))
         .threads(threads)
         .kernel(kernel)
-        .observer(&obs);
-    if let Some(cal) = &calibrator {
-        driver = driver.tuner(cal.clone());
-    }
-    let corrected = driver.run(&mut stack);
+        .observer(&obs)
+        .run(&mut stack);
     let elapsed = start.elapsed();
     write_stack_file(&out, &stack)?;
     let _ = writeln!(
@@ -270,8 +273,8 @@ fn cmd_preprocess(opts: &Opts) -> Result<String, CliError> {
          U={upsilon}): {corrected} samples repaired in {elapsed:?} -> {out}",
         stack.width() * stack.height(),
     );
-    if let Some(cal) = &calibrator {
-        match cal.decision(16) {
+    if calibrator.is_some() {
+        match decision {
             Some(d) => {
                 let _ = writeln!(
                     report,

@@ -134,12 +134,6 @@ impl AlgoNgst {
         )
     }
 
-    /// This algorithm, or [`tuned`](Self::tuned) to `decision` if one is
-    /// in force.
-    fn resolve(&self, decision: Option<&TuneDecision>) -> AlgoNgst {
-        decision.map_or(*self, |d| self.tuned(d))
-    }
-
     /// Repairs `series` in place, returning the number of modified samples.
     ///
     /// All corrections are computed from the *original* series (the voter
@@ -159,16 +153,14 @@ impl AlgoNgst {
                 kernel: Kernel::default(),
                 scratch: &mut VoterScratch::new(),
                 obs: &Obs::disabled(),
-                decision: None,
             },
         )
     }
 
     /// [`AlgoNgst::try_preprocess`] in an explicit execution context: the
     /// voter [`Kernel`], scratch buffers reused across series (a worker
-    /// looping over a tile reaches a zero-alloc steady state), the observer
-    /// the bit-sliced kernel's spans land in, and — when `cx.decision` is
-    /// set — the [`tuned`](Self::tuned) algorithm instead of this one.
+    /// looping over a tile reaches a zero-alloc steady state) and the
+    /// observer the bit-sliced kernel's spans land in.
     /// Every kernel produces bit-identical results (property tested in
     /// `tests/kernel_identical.rs`).
     ///
@@ -179,13 +171,12 @@ impl AlgoNgst {
         series: &mut [T],
         cx: &mut Exec<'_, T>,
     ) -> Result<usize, CoreError> {
-        let algo = self.resolve(cx.decision);
-        if algo.sensitivity.is_off() {
+        if self.sensitivity.is_off() {
             return Ok(0);
         }
         let mut total = 0;
-        for _ in 0..algo.config.passes.max(1) {
-            let changed = algo.one_pass(series, cx.scratch, cx.kernel, cx.obs)?;
+        for _ in 0..self.config.passes.max(1) {
+            let changed = self.one_pass(series, cx.scratch, cx.kernel, cx.obs)?;
             total += changed;
             if changed == 0 {
                 break;
@@ -285,14 +276,13 @@ impl<T: BitPixel> SeriesPreprocessor<T> for AlgoNgst {
                 self.try_preprocess_in(series, cx).unwrap_or(0)
             });
         }
-        let algo = self.resolve(cx.decision);
-        if frames == 0 || algo.sensitivity.is_off() || frames < algo.upsilon.min_series_len() {
+        if frames == 0 || self.sensitivity.is_off() || frames < self.upsilon.min_series_len() {
             // Λ = 0 analyzes nothing; short series are left untouched — the
             // same outcomes the per-series path reaches one series at a
             // time.
             return 0;
         }
-        let params = algo.bitslice_params();
+        let params = self.bitslice_params();
         let count = buf.len() / frames;
         let mut total = 0;
         let mut base = 0;
@@ -300,7 +290,7 @@ impl<T: BitPixel> SeriesPreprocessor<T> for AlgoNgst {
             let g = (count - base).min(64);
             total += crate::bitslice::bitsliced_group(
                 &params,
-                algo.config.passes,
+                self.config.passes,
                 buf,
                 frames,
                 count,

@@ -110,8 +110,8 @@ impl<T: BitPixel> SeriesPreprocessor<T> for BitVoter {
     }
 
     /// Votes series by series; the buffered variant keeps its pre-vote
-    /// snapshot in `cx.scratch`. The single code path ignores the kernel,
-    /// the observer and any tuner decision.
+    /// snapshot in `cx.scratch`. The single code path ignores the kernel
+    /// and the observer.
     fn preprocess_batch(&self, buf: &mut [T], frames: usize, cx: &mut Exec<'_, T>) -> usize {
         each_series(buf, frames, |series| self.vote(series, cx.scratch))
     }
@@ -249,7 +249,6 @@ mod tests {
                 kernel: Kernel::default(),
                 scratch: &mut scratch,
                 obs: &obs,
-                decision: None,
             };
             let b = BitVoter::buffered().preprocess_batch(&mut reused, len, &mut cx);
             assert_eq!(a, b, "changed count at len {len}");

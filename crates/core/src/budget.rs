@@ -1,4 +1,4 @@
-//! The process-wide core budget the parallel drivers claim from.
+//! The process-wide core budget the drivers claim helper threads from.
 //!
 //! Every [`Preprocessor`](crate::Preprocessor) run counts its caller as one
 //! busy core and may borrow helper threads only from the cores still free,

@@ -27,25 +27,31 @@
 //! atomics — so the hot loops cost what the bare tile loops do. Every
 //! driver reaches the algorithm through the one batch entry point
 //! [`SeriesPreprocessor::preprocess_batch`], handing it the builder's
-//! kernel, a scratch arena, the observer and the tuner decision in one
-//! [`Exec`].
+//! kernel, a scratch arena and the observer in one [`Exec`].
 //!
 //! **Core budget**: [`threads`](Preprocessor::threads) is an upper bound.
 //! The process keeps one count of cores busy with preprocessing, sized to
 //! [`available_threads`]; each parallel run counts its caller as one core,
 //! borrows helper threads only from the cores still free, and works its
 //! share of the tiles itself. Concurrent runs therefore share the host
-//! instead of each spawning a full pool on it, and a run granted no
-//! helpers takes the sequential tiled path. Grants are first come and
+//! instead of each spawning a full pool on it. Grants are first come and
 //! never rebalanced (see the `budget` module).
 //!
+//! **One tile driver**: the caller and its granted helpers pull tiles from
+//! one shared index. Each thread keeps one tile buffer and one
+//! [`VoterScratch`] for the whole run: it gathers a tile under the stack's
+//! read lock, repairs it with no lock held and scatters it back under the
+//! write lock. A run granted no helpers is the caller alone walking the
+//! tiles in order.
+//!
 //! **Bit-identity invariant**: for a given algorithm, [`run`]
-//! (any driver, any thread count) produces output and changed-sample
+//! (any thread count, any grant) produces output and changed-sample
 //! counts bit-identical to the naive sequential reference. Temporal
-//! series are independent and every algorithm computes its corrections
-//! from the *pre-repair* series, so work partitioning cannot leak into
-//! results (property tested in `tests/parallel_identical.rs`, and under
-//! contention for the core budget in `tests/parallel_contention.rs`).
+//! series are independent, tiles are disjoint and every series lies in
+//! one tile, so a gather never reads another tile's repairs, and neither
+//! work partitioning nor interleaving can leak into results (property
+//! tested in `tests/parallel_identical.rs`, and under contention for the
+//! core budget in `tests/parallel_contention.rs`).
 //!
 //! [`run`]: Preprocessor::run
 
@@ -54,24 +60,23 @@ use crate::container::{Cube, Image, ImageStack};
 use crate::kernel::Kernel;
 use crate::pixel::BitPixel;
 use crate::traits::{BatchLayout, Exec, PlanePreprocessor, SeriesPreprocessor};
-use crate::tuning::{TuneDecision, Tuner};
 use crate::voter::VoterScratch;
 use preflight_obs::Obs;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Default spatial tile side for the blocked series-major transpose.
 ///
 /// A 32×32 tile of a 128-frame `u16` stack occupies 256 KiB of scratch —
 /// small enough to stay cache-resident while large enough to amortize the
-/// transpose overhead and give the parallel driver ~16 independent work
+/// transpose overhead and give the tile driver ~16 independent work
 /// units on a 128×128 fragment.
 pub const DEFAULT_TILE: usize = 32;
 
 /// The machine's available parallelism (1 if it cannot be determined).
 ///
 /// The CLI caps a user-requested `--threads N` at this value, and it is the
-/// capacity of the process core budget the parallel drivers claim from.
+/// capacity of the process core budget the drivers claim helpers from.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -161,7 +166,6 @@ pub struct Preprocessor<A> {
     naive: bool,
     kernel: Kernel,
     obs: Obs,
-    tuner: Option<Arc<dyn Tuner>>,
 }
 
 impl<A> Preprocessor<A> {
@@ -175,12 +179,11 @@ impl<A> Preprocessor<A> {
             naive: false,
             kernel: Kernel::default(),
             obs: Obs::disabled(),
-            tuner: None,
         }
     }
 
     /// Sets the upper bound on threads per run, the caller included (`0`
-    /// is treated as 1; `1` runs the cache-aware tiled path without
+    /// is treated as 1; `1` walks the tiles on the caller without
     /// spawning). The process core budget grants fewer while other runs
     /// hold cores.
     pub fn threads(mut self, threads: usize) -> Self {
@@ -223,30 +226,20 @@ impl<A> Preprocessor<A> {
         self
     }
 
-    /// Attaches an online [`Tuner`] (e.g. `preflight-tune`'s
-    /// `StreamCalibrator`). Each [`run`](Self::run) then samples a bounded,
-    /// deterministic stride of coordinate series, reports their XOR-diff
-    /// magnitudes to the tuner, and — once the tuner has a frozen
-    /// [`TuneDecision`] — executes every tile with the *chosen* λ/Υ and the
-    /// decision's frozen bit windows instead of the requested configuration.
-    /// While the tuner is warming up (no decision yet) runs are identical
-    /// to untuned ones. The naive reference driver ignores the tuner.
-    pub fn tuner(mut self, tuner: Arc<dyn Tuner>) -> Self {
-        self.tuner = Some(tuner);
-        self
-    }
-
     /// The algorithm this driver runs.
     pub fn algo(&self) -> &A {
         &self.algo
     }
 
     /// Preprocesses every temporal series of `stack`, returning the
-    /// total number of modified samples. Dispatches on the builder and
-    /// the core budget: naive reference loop, sequential tiled path (1
-    /// thread, or no helper granted) or the caller plus its granted
-    /// helpers working the tiles together. Output is bit-identical across
-    /// all three for any thread count and any grant.
+    /// total number of modified samples. Runs the naive reference loop if
+    /// [`naive`](Self::naive) is set, else the tile driver with as many
+    /// helpers as the core budget grants (none for 1 thread). Output is
+    /// bit-identical either way, for any thread count and any grant.
+    ///
+    /// To run under an online tuner's decision, feed the stack to it with
+    /// [`observe_stack`](crate::observe_stack) and run the
+    /// [`tuned`](crate::AlgoNgst::tuned) algorithm.
     pub fn run<T>(&self, stack: &mut ImageStack<T>) -> usize
     where
         T: BitPixel,
@@ -265,27 +258,15 @@ impl<A> Preprocessor<A> {
                         kernel: self.kernel,
                         scratch: &mut VoterScratch::new(),
                         obs: &self.obs,
-                        decision: None,
                     },
                 )
             })
         } else if stack.frames() == 0 || stack.frame_len() == 0 {
             0
         } else {
-            // Observe-then-decide on the caller thread, before any tile is
-            // dispatched: the sample stride is deterministic and every tile
-            // of this run sees the same frozen decision, so tuned runs keep
-            // the bit-identity invariant across thread counts.
-            let decision = self.tuner.as_deref().and_then(|t| {
-                crate::tuning::observe_stack(t, stack);
-                t.decision(T::BITS)
-            });
             let tiles = spatial_tiles(stack.width(), stack.height(), self.tile);
             let claim = CoreBudget::process().claim(self.threads.min(tiles.len()) - 1);
-            match claim.helpers() {
-                0 => self.run_tiled(stack, &tiles, decision),
-                helpers => self.run_parallel(stack, &tiles, helpers, decision),
-            }
+            self.run_tiles(stack, &tiles, claim.helpers())
         };
         if self.obs.is_enabled() {
             self.obs.counter("preprocess_runs_total", None).inc();
@@ -307,56 +288,9 @@ impl<A> Preprocessor<A> {
         changed
     }
 
-    /// Sequential cache-aware path: gather each tile in the algorithm's
-    /// layout, repair the batch with one reused [`VoterScratch`], scatter
-    /// back.
-    fn run_tiled<T>(
-        &self,
-        stack: &mut ImageStack<T>,
-        tiles: &[Tile],
-        decision: Option<TuneDecision>,
-    ) -> usize
-    where
-        T: BitPixel,
-        A: SeriesPreprocessor<T>,
-    {
-        let frames = stack.frames();
-        let layout = self.algo.batch_layout(self.kernel);
-        let mut scratch = VoterScratch::with_capacity(frames);
-        let mut cx = Exec {
-            kernel: self.kernel,
-            scratch: &mut scratch,
-            obs: &self.obs,
-            decision: decision.as_ref(),
-        };
-        let mut buf: Vec<T> = Vec::new();
-        let mut changed = 0;
-        for t in tiles {
-            let _span = self.obs.span("tile");
-            t.gather(stack, layout, &mut buf);
-            changed += self.algo.preprocess_batch(&mut buf, frames, &mut cx);
-            t.scatter(stack, layout, &buf);
-        }
-        if self.obs.is_enabled() {
-            self.obs
-                .counter("preprocess_tiles_total", None)
-                .add(tiles.len() as u64);
-            flush_scratch_tallies(&self.obs, &mut scratch);
-        }
-        changed
-    }
-
-    /// Parallel path over the same tiles: the caller and `helpers` scoped
-    /// threads pull tiles through one shared index, repair them in the
-    /// algorithm's layout and keep the repaired buffers; the caller joins
-    /// the helpers and scatters.
-    fn run_parallel<T>(
-        &self,
-        stack: &mut ImageStack<T>,
-        tiles: &[Tile],
-        helpers: usize,
-        decision: Option<TuneDecision>,
-    ) -> usize
+    /// The tile driver (see the module docs): the caller and `helpers`
+    /// scoped threads work `tiles` in the algorithm's batch layout.
+    fn run_tiles<T>(&self, stack: &mut ImageStack<T>, tiles: &[Tile], helpers: usize) -> usize
     where
         T: BitPixel,
         A: SeriesPreprocessor<T> + Sync,
@@ -364,53 +298,49 @@ impl<A> Preprocessor<A> {
         let frames = stack.frames();
         let layout = self.algo.batch_layout(self.kernel);
         let next = AtomicUsize::new(0);
-        let shared: &ImageStack<T> = stack;
-        let decision = decision.as_ref();
+        let stack = RwLock::new(stack);
         let work = || {
             let mut scratch = VoterScratch::with_capacity(frames);
             let mut cx = Exec {
                 kernel: self.kernel,
                 scratch: &mut scratch,
                 obs: &self.obs,
-                decision,
             };
-            let mut done = Vec::new();
-            while let Some(&tile) = tiles.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let mut buf: Vec<T> = Vec::new();
+            let mut changed = 0;
+            while let Some(tile) = tiles.get(next.fetch_add(1, Ordering::Relaxed)) {
                 let _span = self.obs.span("tile");
-                let mut buf = Vec::new();
-                tile.gather(shared, layout, &mut buf);
-                let changed = self.algo.preprocess_batch(&mut buf, frames, &mut cx);
-                done.push((tile, buf, changed));
+                // A poisoned lock means another thread panicked mid-run. Every
+                // write leaves the stack a valid stack and the run is already
+                // unwinding (the panic reaches the caller through `join`),
+                // so finishing the tiles is harmless.
+                let read = stack.read().unwrap_or_else(PoisonError::into_inner);
+                tile.gather(&read, layout, &mut buf);
+                drop(read);
+                changed += self.algo.preprocess_batch(&mut buf, frames, &mut cx);
+                let mut write = stack.write().unwrap_or_else(PoisonError::into_inner);
+                tile.scatter(&mut write, layout, &buf);
             }
             flush_scratch_tallies(&self.obs, &mut scratch);
-            done
+            changed
         };
-        let results = std::thread::scope(|s| {
+        let changed = std::thread::scope(|s| {
             let spawned: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
-            let mut results = work();
-            for helper in spawned {
-                results.extend(join(helper));
-            }
-            results
+            work() + spawned.into_iter().map(join).sum::<usize>()
         });
-
-        let mut total = 0;
-        for (tile, buf, changed) in results {
-            tile.scatter(stack, layout, &buf);
-            total += changed;
-        }
         if self.obs.is_enabled() {
             self.obs
                 .counter("preprocess_tiles_total", None)
                 .add(tiles.len() as u64);
             // Threads that worked tiles: the caller plus its granted
-            // helpers (a run granted none never reaches this path — it
-            // takes the tiled driver, so `--threads 1` pays no spawn).
-            self.obs
-                .counter("preprocess_pool_workers_total", None)
-                .add(1 + helpers as u64);
+            // helpers, recorded only when helpers were spawned.
+            if helpers > 0 {
+                self.obs
+                    .counter("preprocess_pool_workers_total", None)
+                    .add(1 + helpers as u64);
+            }
         }
-        total
+        changed
     }
 
     /// Applies the algorithm *spatially* to a single 2-D frame: one
@@ -429,7 +359,6 @@ impl<A> Preprocessor<A> {
             kernel: self.kernel,
             scratch: &mut scratch,
             obs: &self.obs,
-            decision: None,
         };
         let (w, h) = (image.width(), image.height());
         for y in 0..h {
@@ -579,9 +508,9 @@ mod tests {
         // explicit helper counts too.
         let pp = Preprocessor::new(algo());
         let tiles = spatial_tiles(70, 40, pp.tile);
-        for helpers in 1..=3 {
+        for helpers in 0..=3 {
             let mut st = noisy_stack(70, 40, 16);
-            let got = pp.run_parallel(&mut st, &tiles, helpers, None);
+            let got = pp.run_tiles(&mut st, &tiles, helpers);
             assert_eq!(got, want, "changed count with {helpers} helpers");
             assert_eq!(st, reference, "output with {helpers} helpers");
         }
@@ -699,10 +628,10 @@ mod tests {
     #[test]
     fn single_thread_falls_through_to_tiled_without_a_pool() {
         // Regression: `.threads(1)` (and any request the tile grid clamps
-        // to one effective worker) must take the sequential tiled path,
-        // never spawn the scoped pool. The pool-workers counter is only
-        // incremented by the pool driver, so its absence proves the
-        // fall-through; the repair totals prove the work still happened.
+        // to one effective worker) must run the tiles on the caller alone,
+        // never spawn a helper. The pool-workers counter is only recorded
+        // when helpers ran, so its absence proves the fall-through; the
+        // repair totals prove the work still happened.
         let obs = Obs::new();
         let mut st = noisy_stack(64, 48, 16);
         let changed = Preprocessor::new(algo())

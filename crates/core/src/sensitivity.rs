@@ -2,7 +2,6 @@
 //! parameter Λ (§3.2) and the voter count Υ (§3.3).
 
 use crate::error::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// The sensitivity parameter Λ ∈ `0..=100` of the paper's §3.2.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///   more XOR differences as voters and widening bit window *B*; more
 ///   bit-flips become correctable, at the cost of execution time and — past a
 ///   data-dependent optimum — false alarms (Fig. 2/3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sensitivity(u8);
 
 impl Sensitivity {
@@ -100,7 +99,7 @@ impl std::fmt::Display for Sensitivity {
 ///
 /// The paper finds Υ = 4 best for both benchmarks (§3.3) but studies
 /// Υ ∈ {2, 4, 6} across dataset turbulence in §6 / Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Upsilon(usize);
 
 impl Upsilon {

@@ -2,7 +2,6 @@
 
 use crate::container::Image;
 use crate::kernel::Kernel;
-use crate::tuning::TuneDecision;
 use crate::voter::VoterScratch;
 use preflight_obs::Obs;
 
@@ -30,10 +29,11 @@ pub enum BatchLayout {
 /// The execution context of one [`SeriesPreprocessor::preprocess_batch`]
 /// call: everything a driver decides that is not the data itself.
 ///
-/// Bundling the four into one required argument means a wrapper (such as
+/// Bundling the three into one required argument means a wrapper (such as
 /// the supervisor's ladder rung) cannot forward the data and quietly drop
-/// the kernel, the scratch, the observer or the tuner decision: it has to
-/// hand the whole context on.
+/// the kernel, the scratch or the observer: it has to hand the whole
+/// context on. A tuner decision is not part of it: callers apply one by
+/// running the [`tuned`](crate::AlgoNgst::tuned) algorithm.
 #[derive(Debug)]
 pub struct Exec<'a, T> {
     /// The voter-correction kernel. Output is bit-identical for every
@@ -44,12 +44,6 @@ pub struct Exec<'a, T> {
     pub scratch: &'a mut VoterScratch<T>,
     /// Where per-stage spans land (`bitslice.transpose`, ...).
     pub obs: &'a Obs,
-    /// A frozen calibration from an online [`Tuner`], if one is in force.
-    /// [`crate::AlgoNgst`] then runs with the chosen λ/Υ and frozen bit
-    /// windows; the baselines have no such knobs and ignore it.
-    ///
-    /// [`Tuner`]: crate::tuning::Tuner
-    pub decision: Option<&'a TuneDecision>,
 }
 
 /// A preprocessing algorithm operating on the temporal series of one
@@ -87,8 +81,8 @@ pub trait SeriesPreprocessor<T> {
     fn preprocess_batch(&self, buf: &mut [T], frames: usize, cx: &mut Exec<'_, T>) -> usize;
 
     /// Repairs one series in place, returning the number of modified
-    /// samples: a one-series batch with the default kernel, fresh scratch,
-    /// observability disabled and no tuner decision.
+    /// samples: a one-series batch with the default kernel, fresh scratch
+    /// and observability disabled.
     fn preprocess(&self, series: &mut [T]) -> usize {
         let frames = series.len();
         self.preprocess_batch(
@@ -98,7 +92,6 @@ pub trait SeriesPreprocessor<T> {
                 kernel: Kernel::default(),
                 scratch: &mut VoterScratch::new(),
                 obs: &Obs::disabled(),
-                decision: None,
             },
         )
     }

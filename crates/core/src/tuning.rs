@@ -1,4 +1,4 @@
-//! The online auto-tuning contract between the drivers and a calibrator.
+//! The online auto-tuning contract between its callers and a calibrator.
 //!
 //! The paper's window delimiters are re-derived from scratch for every
 //! series; a *control plane* (the `preflight-tune` crate) instead watches
@@ -7,7 +7,7 @@
 //! little per-series adaptivity for run-to-run stability and a visible
 //! chosen-vs-requested knob surface.
 //!
-//! This module holds only the *contract*: the [`Tuner`] trait a driver
+//! This module holds only the *contract*: the [`Tuner`] trait a caller
 //! feeds observations into, and the [`TuneDecision`] it gets back. The
 //! rolling sketch, hysteresis logic and registry gauges live in
 //! `preflight-tune`, which depends on this crate — not the other way
@@ -45,8 +45,9 @@ pub struct TuneDecision {
     pub recalibrations: u64,
 }
 
-/// An online calibrator a [`crate::Preprocessor`] can feed per-stream
-/// XOR-difference statistics into.
+/// An online calibrator callers feed per-stream XOR-difference statistics
+/// into (through [`observe_stack`]) before running the
+/// [`tuned`](crate::AlgoNgst::tuned) algorithm its decision asks for.
 ///
 /// The trait is object-safe and pixel-type agnostic: drivers convert the
 /// XOR-diff magnitudes to `u64` (via [`crate::BitPixel::to_u64`]) before
@@ -54,9 +55,6 @@ pub struct TuneDecision {
 /// one calibrator instance can serve any pixel type. Implementations use
 /// interior mutability (all methods take `&self`) and must be cheap: a
 /// driver reports only a bounded sample of series per run.
-///
-/// `Debug` is a supertrait so drivers that hold an `Arc<dyn Tuner>` (the
-/// [`crate::Preprocessor`] builder) can keep deriving `Debug`.
 pub trait Tuner: Send + Sync + std::fmt::Debug {
     /// The number of temporal ways (pairing offsets, typically Υ/2) the
     /// driver should report diffs for. Way `w` pairs samples `i` and
@@ -103,9 +101,9 @@ impl<T: Tuner + ?Sized> Tuner for std::sync::Arc<T> {
 /// [`TUNER_SAMPLE_SERIES`] series, every way the tuner asks for). Way `w`
 /// pairs samples `i` and `i + w + 1`, mirroring the voter's temporal
 /// pairings, so the tuner sees the same Φ rank statistics the per-series
-/// analysis would derive cut-offs from. Drivers ([`crate::Preprocessor`],
-/// the serving engine, the CLI) all feed through this one function so
-/// every surface observes identically.
+/// analysis would derive cut-offs from. Every caller that tunes (the
+/// serving engine, the CLI, `repro sweep`) feeds through this one function
+/// so every surface observes identically.
 pub fn observe_stack<T: BitPixel>(tuner: &dyn Tuner, stack: &ImageStack<T>) {
     let frames = stack.frames();
     let coords = stack.frame_len();

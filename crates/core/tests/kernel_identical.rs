@@ -50,7 +50,6 @@ fn assert_kernels_agree<T: BitPixel>(series: &[T], algo: &AlgoNgst, label: &str)
         kernel: Kernel::Scalar,
         scratch: &mut scratch,
         obs: &obs,
-        decision: None,
     };
     let want = algo.try_preprocess_in(&mut scalar, &mut cx);
     let mut out = series.to_vec();

@@ -19,7 +19,7 @@ fn an_idle_budget_grants_the_requested_helper() {
         .run(&mut st);
     let snap = obs.snapshot();
     // Caller plus one granted helper; a 1-core host has no core to lend,
-    // so the run takes the tiled path and records no workers.
+    // so the caller works alone and records no workers.
     let want = (available_threads() >= 2).then_some(2);
     assert_eq!(snap.counter("preprocess_pool_workers_total", None), want);
     assert_eq!(snap.counter("preprocess_tiles_total", None), Some(4));

@@ -1,10 +1,8 @@
 //! Ground-truth records of injected faults.
 
-use serde::{Deserialize, Serialize};
-
 /// The address of one flipped bit: which word of the buffer, which bit of
 /// the word (0 = least significant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BitAddr {
     /// Index of the word within the injected buffer.
     pub word: usize,
@@ -17,7 +15,7 @@ pub struct BitAddr {
 /// Used as ground truth when scoring preprocessing algorithms: a repair at a
 /// flipped bit is a true correction, a repair elsewhere is a false alarm
 /// ("pseudo-correction" in the paper's vocabulary).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultMap {
     flips: Vec<BitAddr>,
 }

@@ -12,7 +12,6 @@
 //! - the rest — clean bits left alone.
 
 use preflight_core::BitPixel;
-use serde::{Deserialize, Serialize};
 
 /// Bit-level confusion counts for one preprocessing run.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.detection_rate(), 1.0);
 /// assert_eq!(c.false_alarm_rate(), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BitConfusion {
     /// Flipped bits the algorithm restored.
     pub true_corrections: u64,

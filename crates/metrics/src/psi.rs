@@ -2,7 +2,6 @@
 //! metrics.
 
 use preflight_core::ValuePixel;
-use serde::{Deserialize, Serialize};
 
 /// The average relative error of `observed` against the pristine `ideal`
 /// (Eq. 3/4 of the paper).
@@ -125,7 +124,7 @@ pub fn max_abs_error<T: ValuePixel>(ideal: &[T], observed: &[T]) -> f64 {
 
 /// The before/after pair the paper reports for every experiment:
 /// `Ψ_NoPreprocessing` versus `Ψ_Algorithm`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PsiReport {
     /// Ψ of the corrupted data, used as-is.
     pub no_preprocessing: f64,

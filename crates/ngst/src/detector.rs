@@ -10,10 +10,9 @@
 use preflight_core::{Image, ImageStack};
 use preflight_datagen::Gaussian;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 /// Geometry and noise parameters of the simulated detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Detector width in pixels (the flight article is 1024).
     pub width: usize,
@@ -93,7 +92,7 @@ impl UpTheRamp {
 }
 
 /// One cosmic-ray hit: the charge step it deposited and where.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrHit {
     /// Pixel x coordinate.
     pub x: usize,
@@ -107,7 +106,7 @@ pub struct CrHit {
 
 /// The cosmic-ray arrival model: the paper anticipates ~10 % of data lost
 /// per 1000-second baseline exposure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CosmicRayModel {
     /// Fraction of pixels struck during one baseline.
     pub pixel_hit_fraction: f64,

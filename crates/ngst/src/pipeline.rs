@@ -964,7 +964,6 @@ fn compute_tile(
                 kernel: Kernel::default(),
                 scratch: &mut scratch,
                 obs: &Obs::disabled(),
-                decision: None,
             };
             job.stack
                 .for_each_series_tiled(preflight_core::DEFAULT_TILE, |x, y, series| {

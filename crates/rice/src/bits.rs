@@ -1,12 +1,11 @@
 //! MSB-first bit-level I/O over byte buffers.
 
 use crate::error::RiceError;
-use bytes::{BufMut, BytesMut};
 
-/// An MSB-first bit writer accumulating into a [`BytesMut`].
+/// An MSB-first bit writer accumulating into a byte vector.
 #[derive(Debug, Default)]
 pub struct BitWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     current: u8,
     filled: u32,
 }
@@ -28,7 +27,7 @@ impl BitWriter {
             self.current = (self.current << 1) | bit as u8;
             self.filled += 1;
             if self.filled == 8 {
-                self.buf.put_u8(self.current);
+                self.buf.push(self.current);
                 self.current = 0;
                 self.filled = 0;
             }
@@ -53,9 +52,9 @@ impl BitWriter {
     pub fn finish(mut self) -> Vec<u8> {
         if self.filled > 0 {
             self.current <<= 8 - self.filled;
-            self.buf.put_u8(self.current);
+            self.buf.push(self.current);
         }
-        self.buf.to_vec()
+        self.buf
     }
 }
 

@@ -1,13 +1,12 @@
 //! Structured recovery events and the per-run recovery log.
 
-use serde::Serialize;
 use std::fmt;
 
 use crate::ladder::FtLevel;
 
 /// How a single attempt failed. The supervision layer maps each failure to
 /// the matching [`RecoveryKind`] when recording it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureKind {
     /// The attempt exceeded its stage deadline.
     Timeout,
@@ -21,7 +20,7 @@ pub enum FailureKind {
 }
 
 /// One recovery action taken (or failure observed) by the supervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecoveryKind {
     /// An attempt missed its deadline and was cancelled.
     Timeout,
@@ -79,7 +78,7 @@ impl From<FailureKind> for RecoveryKind {
 }
 
 /// A single structured recovery event, as surfaced in end-of-run reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryEvent {
     /// Pipeline stage the event belongs to (e.g. `"ngst-tile"`, `"alft"`).
     pub stage: &'static str,
@@ -111,7 +110,7 @@ impl fmt::Display for RecoveryEvent {
 ///
 /// Events are appended in the order the supervisor observes them; with a
 /// deterministic chaos plan the log itself is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryLog {
     events: Vec<RecoveryEvent>,
 }

@@ -11,7 +11,6 @@ use preflight_core::{
     AlgoNgst, BatchLayout, BitPixel, BitVoter, Exec, Kernel, MedianSmoother, SeriesPreprocessor,
     ValuePixel,
 };
-use serde::Serialize;
 use std::fmt;
 
 /// Fault-tolerance level achieved for a unit of work, ordered from the full
@@ -19,7 +18,7 @@ use std::fmt;
 ///
 /// The derived `Ord` follows declaration order, so the level achieved by a
 /// whole run is simply the `max` over its units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FtLevel {
     /// Full dynamic preprocessing (`Algo_NGST`).
     AlgoNgst,
@@ -155,10 +154,7 @@ impl DegradationLadder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use preflight_core::{
-        ImageStack, Obs, Preprocessor, Sensitivity, TuneDecision, Tuner, Upsilon, VoterScratch,
-    };
-    use std::sync::Arc;
+    use preflight_core::{ImageStack, Obs, Preprocessor, Sensitivity, TuneDecision, Upsilon};
 
     fn algo() -> AlgoNgst {
         AlgoNgst::new(Upsilon::new(8).unwrap(), Sensitivity::new(50).unwrap())
@@ -269,20 +265,6 @@ mod tests {
         }
     }
 
-    /// A tuner whose decision is frozen from the start.
-    #[derive(Debug)]
-    struct Frozen(TuneDecision);
-
-    impl Tuner for Frozen {
-        fn ways(&self) -> u32 {
-            2
-        }
-        fn observe(&self, _frames: u32, _way: u32, _magnitudes: &[u64]) {}
-        fn decision(&self, _bits: u32) -> Option<TuneDecision> {
-            Some(self.0)
-        }
-    }
-
     fn run<A: SeriesPreprocessor<u16> + Sync>(pp: Preprocessor<A>) -> ImageStack<u16> {
         let mut st = noisy_stack();
         pp.run(&mut st);
@@ -316,51 +298,26 @@ mod tests {
 
     #[test]
     fn algo_rung_honours_the_decision_and_lower_rungs_ignore_it() {
-        let d = decision();
-        let tuned = algo().tuned(&d);
-        let untuned = run(Preprocessor::new(LadderStage::Algo(algo())));
-        let direct = run(Preprocessor::new(tuned));
-        assert_ne!(direct, untuned, "the decision must change the output");
+        // The serving engine applies a decision by building its ladder from
+        // the tuned algorithm; only the top rung may change.
+        let tuned = DegradationLadder::new(Some(algo().tuned(&decision())));
+        let untuned = DegradationLadder::new(Some(algo()));
+        let rung = |ladder: &DegradationLadder, level| ladder.stage(level).unwrap();
         for kernel in [Kernel::Bitsliced, Kernel::Scalar] {
-            // Through the driver, with the decision from a tuner ...
-            let via_tuner = run(Preprocessor::new(LadderStage::Algo(algo()))
-                .kernel(kernel)
-                .tuner(Arc::new(Frozen(d))));
-            assert_eq!(via_tuner, direct, "{kernel} via the tuner");
-
-            // ... and straight through `Exec`, one tile as a batch.
-            let stage = LadderStage::Algo(algo());
-            let layout = SeriesPreprocessor::<u16>::batch_layout(&stage, kernel);
-            assert_eq!(
-                layout,
-                SeriesPreprocessor::<u16>::batch_layout(&tuned, kernel)
+            let via_ladder = run(Preprocessor::new(rung(&tuned, FtLevel::AlgoNgst)).kernel(kernel));
+            let direct = run(Preprocessor::new(algo().tuned(&decision())).kernel(kernel));
+            assert_eq!(via_ladder, direct, "{kernel}: tuned Algo rung");
+            let plain = run(Preprocessor::new(rung(&untuned, FtLevel::AlgoNgst)).kernel(kernel));
+            assert_ne!(
+                via_ladder, plain,
+                "{kernel}: the decision must change the output"
             );
-            let st = noisy_stack();
-            let (w, h, frames) = (st.width(), st.height(), st.frames());
-            let mut buf = Vec::new();
-            match layout {
-                BatchLayout::SeriesMajor => st.gather_tile_series(0, 0, w, h, &mut buf),
-                BatchLayout::TimeMajor => st.gather_tile_time_major(0, 0, w, h, &mut buf),
-            }
-            let mut want = buf.clone();
-            let obs = Obs::disabled();
-            let mut scratch = VoterScratch::new();
-            let mut cx = Exec {
-                kernel,
-                scratch: &mut scratch,
-                obs: &obs,
-                decision: Some(&d),
-            };
-            let got_n = stage.preprocess_batch(&mut buf, frames, &mut cx);
-            cx.decision = None;
-            let want_n = tuned.preprocess_batch(&mut want, frames, &mut cx);
-            assert_eq!((got_n, &buf), (want_n, &want), "{kernel} via Exec");
         }
 
         for level in [FtLevel::BitVoter, FtLevel::MedianSmoother] {
-            let stage = DegradationLadder::new(None).stage(level).unwrap();
-            let plain = run(Preprocessor::new(stage));
-            let with_decision = run(Preprocessor::new(stage).tuner(Arc::new(Frozen(d))));
+            assert_eq!(rung(&tuned, level), rung(&untuned, level));
+            let with_decision = run(Preprocessor::new(rung(&tuned, level)));
+            let plain = run(Preprocessor::new(rung(&untuned, level)));
             assert_eq!(with_decision, plain, "{level} must ignore the decision");
             assert_ne!(plain, noisy_stack(), "{level} must repair something");
         }

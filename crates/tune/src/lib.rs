@@ -12,9 +12,10 @@
 //!   tracks the rolling Φ XOR-difference rank statistics (O(1) update, no
 //!   steady-state allocation — the `preflight-obs` discipline);
 //! - once warm, the calibrator freezes the cut-off exponents into a
-//!   [`TuneDecision`](preflight_core::TuneDecision) — chosen λ/Υ plus
-//!   static window widths — that drivers substitute for the requested
-//!   configuration via `Preprocessor::tuner(...)`;
+//!   [`TuneDecision`] — chosen λ/Υ plus static window widths — that
+//!   callers apply by running
+//!   [`AlgoNgst::tuned`](preflight_core::AlgoNgst::tuned) instead of the
+//!   requested algorithm;
 //! - frozen boundaries move only when the candidate exponents leave a
 //!   hysteresis band, so stationary scenes stay bit-identical run-to-run
 //!   while scene changes recalibrate within a few runs;
@@ -27,18 +28,21 @@
 //! Ψ maps the online tuner's choices are validated against (the
 //! convergence test in `preflight-bench`).
 //!
+//! Every caller applies a decision the same way: observe the stack, ask
+//! for the decision in force, and run the tuned algorithm (the requested
+//! one while the calibrator warms up):
+//!
 //! ```
-//! use preflight_core::{AlgoNgst, ImageStack, Preprocessor, Tuner};
+//! use preflight_core::{observe_stack, AlgoNgst, ImageStack, Preprocessor, Tuner};
 //! use preflight_obs::Obs;
 //! use preflight_tune::{StreamCalibrator, TuneParams};
-//! use std::sync::Arc;
 //!
-//! let cal = Arc::new(StreamCalibrator::new(TuneParams::default(), &Obs::new()));
+//! let cal = StreamCalibrator::new(TuneParams::default(), &Obs::new());
 //! let mut stack: ImageStack<u16> = ImageStack::new(64, 64, 32);
-//! Preprocessor::new(AlgoNgst::default())
-//!     .tuner(cal.clone())
-//!     .run(&mut stack);
-//! assert!(cal.decision(16).is_some(), "one run is enough to warm up");
+//! let requested = AlgoNgst::default();
+//! observe_stack(&cal, &stack);
+//! let decision = cal.decision(16).expect("one stack is enough to warm up");
+//! Preprocessor::new(requested.tuned(&decision)).run(&mut stack);
 //! ```
 
 #![warn(missing_docs)]
