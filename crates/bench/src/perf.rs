@@ -1,18 +1,16 @@
 //! Throughput benchmark for the preprocessing engine (`repro perf`).
 //!
-//! Times the unified [`Preprocessor`] three ways — the naive
-//! per-coordinate reference loop (`.naive(true)`), the cache-aware tile
-//! driver on one thread (`tiled` rows) and the same driver with helper
-//! threads (`parallel` rows) — over a
-//! synthetic NGST-like cube, in Mpix/s (million samples preprocessed per
-//! second of wall time). Each driver is timed under both voter kernels
-//! (the [`Kernel::Scalar`] oracle and the bit-sliced
-//! [`Kernel::Bitsliced`]), and a multi-pass section times the tiled
-//! driver at `passes = 3`, where the bit-plane transposes pay off most.
-//! All drivers run with observability disabled (the default), so these
-//! numbers double as the zero-overhead guard for the instrumentation.
-//! The same workload feeds the `preprocess_throughput` Criterion bench;
-//! this module is the scriptable variant that emits
+//! Times the unified [`Preprocessor`] two ways — the naive
+//! per-coordinate reference loop (`naive` rows, `.naive(true)`) and the
+//! in-place band driver at each thread count (`band` rows; one thread is
+//! the caller alone) — over a synthetic NGST-like cube, in Mpix/s
+//! (million samples preprocessed per second of wall time). Each driver is
+//! timed under both voter kernels (the [`Kernel::Scalar`] oracle and the
+//! bit-sliced [`Kernel::Bitsliced`]), and a multi-pass section times the
+//! band driver on one thread at `passes = 3`, where the bit-plane
+//! transposes pay off most. All drivers run with observability disabled
+//! (the default), so these numbers double as the zero-overhead guard for
+//! the instrumentation. `repro perf` writes them to
 //! `BENCH_preprocess.json`.
 //!
 //! Honesty rules: thread counts beyond the machine's available
@@ -27,7 +25,7 @@
 
 use preflight_core::{
     available_threads, detected_tiers, dispatch_tier, AlgoNgst, BitPixel, ImageStack, Kernel,
-    NgstConfig, Preprocessor, Sensitivity, Upsilon, DEFAULT_TILE,
+    NgstConfig, Preprocessor, Sensitivity, Upsilon,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -43,7 +41,7 @@ pub struct PerfConfig {
     pub frames: usize,
     /// Timed repetitions per driver; the best (minimum) time is reported.
     pub reps: usize,
-    /// Thread counts to sweep for the `parallel` rows. Counts above the
+    /// Thread counts to sweep for the `band` rows. Counts above the
     /// machine's available parallelism are skipped, not capped.
     pub threads: Vec<usize>,
     /// Voter passes for the multi-pass section (`0` disables it).
@@ -91,7 +89,7 @@ impl PerfConfig {
 /// One timed driver × kernel × pixel-width × thread-count cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfRow {
-    /// Driver name: `naive`, `tiled` or `parallel`.
+    /// Driver name: `naive` or `band`.
     pub driver: &'static str,
     /// Voter kernel: `scalar` or `bitsliced`.
     pub kernel: &'static str,
@@ -111,8 +109,8 @@ pub struct PerfRow {
     /// Million samples preprocessed per second of wall time.
     pub mpix_per_s: f64,
     /// Speedup over the section's scalar reference at the same pixel
-    /// width (naive/scalar for the single-pass section, tiled/scalar for
-    /// the multi-pass section).
+    /// width (naive/scalar for the single-pass section, one-thread
+    /// band/scalar for the multi-pass section).
     pub speedup: f64,
 }
 
@@ -279,35 +277,16 @@ fn run_pixel_width<T: BitPixel>(
             });
         }
 
-        let tiled = Preprocessor::new(&algo).tile(DEFAULT_TILE).kernel(kernel);
-        let (secs, out, got) = best_secs(config.reps, &input, |s| tiled.run(s));
-        assert_eq!(
-            (got, &out),
-            (want, &reference_out),
-            "tiled/{label} diverged"
-        );
-        rows.push(PerfRow {
-            driver: "tiled",
-            kernel: label,
-            dispatch_tier: tier_label(kernel),
-            pixel_bits,
-            passes: 1,
-            threads: 1,
-            seconds: secs,
-            mpix_per_s: mpix(secs),
-            speedup: ref_secs / secs,
-        });
-
         for &threads in &thread_counts {
-            let parallel = Preprocessor::new(&algo).threads(threads).kernel(kernel);
-            let (secs, out, got) = best_secs(config.reps, &input, |s| parallel.run(s));
+            let band = Preprocessor::new(&algo).threads(threads).kernel(kernel);
+            let (secs, out, got) = best_secs(config.reps, &input, |s| band.run(s));
             assert_eq!(
                 (got, &out),
                 (want, &reference_out),
-                "parallel/{label} diverged at {threads} threads"
+                "band/{label} diverged at {threads} threads"
             );
             rows.push(PerfRow {
-                driver: "parallel",
+                driver: "band",
                 kernel: label,
                 dispatch_tier: tier_label(kernel),
                 pixel_bits,
@@ -320,17 +299,15 @@ fn run_pixel_width<T: BitPixel>(
         }
     }
 
-    // Multi-pass section: the tiled driver at `passes` voter passes, its
-    // own scalar reference. This is where the bit-sliced kernel's
+    // Multi-pass section: the band driver on one thread at `passes` voter
+    // passes, its own scalar reference. This is where the bit-sliced kernel's
     // per-group transpose amortizes across repeated cutoff rebuilds.
     if config.multipass > 1 {
         let multi = perf_algo_passes(config.multipass);
-        let scalar = Preprocessor::new(&multi)
-            .tile(DEFAULT_TILE)
-            .kernel(Kernel::Scalar);
+        let scalar = Preprocessor::new(&multi).kernel(Kernel::Scalar);
         let (scalar_secs, scalar_out, scalar_n) = best_secs(config.reps, &input, |s| scalar.run(s));
         rows.push(PerfRow {
-            driver: "tiled",
+            driver: "band",
             kernel: kernel_label(Kernel::Scalar),
             dispatch_tier: tier_label(Kernel::Scalar),
             pixel_bits,
@@ -343,7 +320,7 @@ fn run_pixel_width<T: BitPixel>(
 
         let kernel = Kernel::Bitsliced;
         let label = kernel_label(kernel);
-        let timed = Preprocessor::new(&multi).tile(DEFAULT_TILE).kernel(kernel);
+        let timed = Preprocessor::new(&multi).kernel(kernel);
         let (secs, out, got) = best_secs(config.reps, &input, |s| timed.run(s));
         assert_eq!(
             (got, &out),
@@ -351,7 +328,7 @@ fn run_pixel_width<T: BitPixel>(
             "multi-pass {label} diverged"
         );
         rows.push(PerfRow {
-            driver: "tiled",
+            driver: "band",
             kernel: label,
             dispatch_tier: tier_label(kernel),
             pixel_bits,
@@ -492,11 +469,10 @@ mod tests {
     fn quick_sweep_produces_sane_rows() {
         let config = PerfConfig::quick();
         let report = preprocess_perf(&config);
-        // Per pixel width: naive (scalar ref + bitsliced) + tiled × 2
-        // kernels + parallel × 2 kernels × effective thread counts + the 2
-        // multi-pass tiled rows.
+        // Per pixel width: naive (scalar ref + bitsliced) + band × 2
+        // kernels × effective thread counts + the 2 multi-pass band rows.
         let t = config.effective_thread_counts().len();
-        assert_eq!(report.rows.len(), 2 * (2 + 2 + 2 * t + 2));
+        assert_eq!(report.rows.len(), 2 * (2 + 2 * t + 2));
         assert!(report.rows.iter().all(|r| r.mpix_per_s > 0.0));
         assert!(report.rows.iter().all(|r| r.seconds > 0.0));
         // Bit-sliced rows carry the tier they executed under; the scalar

@@ -254,7 +254,7 @@ fn cmd_preprocess(opts: &Opts) -> Result<String, CliError> {
         None
     };
     let start = std::time::Instant::now();
-    // Observe, then decide, before any tile runs: the whole run uses one
+    // Observe, then decide, before any band runs: the whole run uses one
     // frozen decision, so tuned output is the same for any thread count.
     let decision = calibrator.as_ref().and_then(|cal| {
         preflight::core::observe_stack(cal, &stack);
@@ -1325,7 +1325,7 @@ mod tests {
         assert!(r.contains("trace:"), "{r}");
         let json = std::fs::read_to_string(&trace).unwrap();
         assert!(json.contains("\"stage\":\"preprocess\""), "{json}");
-        assert!(json.contains("\"stage\":\"tile\""), "{json}");
+        assert!(json.contains("\"stage\":\"band\""), "{json}");
     }
 
     #[test]

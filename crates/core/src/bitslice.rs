@@ -32,6 +32,14 @@
 //!    planes are transposed back and XOR-applied only for blocks that
 //!    actually contain a correction.
 //!
+//! The pipeline comes in two slicings. A lone contiguous series (the naive
+//! driver, `run_image`, the NGST pipeline's separate layer) is sliced
+//! across time: lane = sample index. The stack driver's bands are sliced
+//! across series: lane = coordinate. A frame-major stack already stores
+//! sample `i` of lane `l` at `frame(i)[l]`, so a band is a list of row
+//! slices, one per frame, and the group kernel reads and repairs them in
+//! place — no gather, no scatter, no batch buffer.
+//!
 //! Reflected boundary pairings (at most Υ/2 per way per end) are computed
 //! by the scalar [`prune`] rule and patched into the affected lanes, so the
 //! kernel is **bit-identical** to [`Kernel::Scalar`] for every Υ, Λ, dtype,
@@ -193,16 +201,18 @@ fn calibrate_x86() -> DispatchTier {
     let mut best = [std::time::Duration::MAX; 2];
     for _ in 0..3 {
         let mut work = buf.clone();
+        let mut rows: Vec<&mut [u32]> = work.chunks_mut(64).collect();
         let t0 = std::time::Instant::now();
         // SAFETY: guarded by the caller's `is_x86_feature_detected!("avx2")`.
         #[allow(unsafe_code)]
         unsafe {
-            group_avx2(&params, &mut work, n, 64, 0, 64, &mut scratch, &obs);
+            group_avx2(&params, &mut rows, 0, 64, &mut scratch, &obs);
         }
         best[0] = best[0].min(t0.elapsed());
         let mut work = buf.clone();
+        let mut rows: Vec<&mut [u32]> = work.chunks_mut(64).collect();
         let t0 = std::time::Instant::now();
-        group_impl::<u32, false>(&params, &mut work, n, 64, 0, 64, &mut scratch, &obs);
+        group_impl::<u32, false>(&params, &mut rows, 0, 64, &mut scratch, &obs);
         best[1] = best[1].min(t0.elapsed());
     }
     if best[0] < best[1] {
@@ -365,7 +375,7 @@ pub fn transpose_block<T: BitPixel>(pixels: &[T], planes: &mut [u64; 64]) {
     planes.fill(0);
     if pixels.len() == 64 {
         // Full block: branch-free packing (the common case in the batched
-        // group kernel, where whole tiles are chunked into 64-lane groups).
+        // group kernel, where whole bands are chunked into 64-lane groups).
         for (j, word) in planes[..k].iter_mut().enumerate() {
             let mut w = 0u64;
             for field in 0..f {
@@ -430,17 +440,14 @@ fn cp2_exp<T: BitPixel>(x: u64) -> usize {
 /// still-active ones cannot alter either the repaired bits or the
 /// changed-sample totals.
 ///
-/// `buf` is a **time-major** batch (`buf[i*stride + base + l]` is sample
-/// `i` of lane `l`, the layout [`crate::ImageStack::gather_tile_time_major`]
-/// produces) and the group covers lanes `base..base+g` of it, so every
-/// value read and every repair write touches contiguous memory.
-#[allow(clippy::too_many_arguments)]
+/// `rows` is a **time-major** batch (`rows[i][l]` is sample `i` of lane
+/// `l`: a band of a frame-major stack, one row per frame) and the group
+/// covers lanes `base..base+g` of it, so every value read and every repair
+/// write touches contiguous memory.
 pub(crate) fn bitsliced_group<T: BitPixel>(
     params: &BitsliceParams,
     passes: usize,
-    buf: &mut [T],
-    n: usize,
-    stride: usize,
+    rows: &mut [&mut [T]],
     base: usize,
     g: usize,
     scratch: &mut VoterScratch<T>,
@@ -448,7 +455,7 @@ pub(crate) fn bitsliced_group<T: BitPixel>(
 ) -> usize {
     let mut total = 0;
     for _ in 0..passes.max(1) {
-        let changed = bitsliced_group_pass(params, buf, n, stride, base, g, scratch, obs);
+        let changed = bitsliced_group_pass(params, rows, base, g, scratch, obs);
         total += changed;
         if changed == 0 {
             break;
@@ -457,16 +464,14 @@ pub(crate) fn bitsliced_group<T: BitPixel>(
     total
 }
 
-/// One analyze-and-repair round over a group of up to 64 series of `n`
-/// samples each within a time-major batch. Dispatches to the active SIMD
-/// tier like [`bitsliced_pass`]. The caller guarantees
-/// `n >= upsilon.min_series_len()`, `1 <= g <= 64` and `base + g <= stride`.
-#[allow(clippy::too_many_arguments)]
+/// One analyze-and-repair round over a group of up to 64 series of
+/// `rows.len()` samples each within a time-major batch. Dispatches to the
+/// active SIMD tier like [`bitsliced_pass`]. The caller guarantees
+/// `rows.len() >= upsilon.min_series_len()`, `1 <= g <= 64` and
+/// `base + g <= ` every row's length.
 fn bitsliced_group_pass<T: BitPixel>(
     params: &BitsliceParams,
-    buf: &mut [T],
-    n: usize,
-    stride: usize,
+    rows: &mut [&mut [T]],
     base: usize,
     g: usize,
     scratch: &mut VoterScratch<T>,
@@ -481,7 +486,7 @@ fn bitsliced_group_pass<T: BitPixel>(
             // contract of `group_avx2` holds.
             #[allow(unsafe_code)]
             unsafe {
-                group_avx2(params, buf, n, stride, base, g, scratch, obs)
+                group_avx2(params, rows, base, g, scratch, obs)
             }
         }
         #[cfg(target_arch = "aarch64")]
@@ -490,48 +495,42 @@ fn bitsliced_group_pass<T: BitPixel>(
             // `dispatch_tier` yields `Neon` only on aarch64 builds.
             #[allow(unsafe_code)]
             unsafe {
-                group_neon(params, buf, n, stride, base, g, scratch, obs)
+                group_neon(params, rows, base, g, scratch, obs)
             }
         }
-        _ => group_impl::<T, false>(params, buf, n, stride, base, g, scratch, obs),
+        _ => group_impl::<T, false>(params, rows, base, g, scratch, obs),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 fn group_avx2<T: BitPixel>(
     params: &BitsliceParams,
-    buf: &mut [T],
-    n: usize,
-    stride: usize,
+    rows: &mut [&mut [T]],
     base: usize,
     g: usize,
     scratch: &mut VoterScratch<T>,
     obs: &Obs,
 ) -> usize {
-    group_impl::<T, true>(params, buf, n, stride, base, g, scratch, obs)
+    group_impl::<T, true>(params, rows, base, g, scratch, obs)
 }
 
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-#[allow(clippy::too_many_arguments)]
 fn group_neon<T: BitPixel>(
     params: &BitsliceParams,
-    buf: &mut [T],
-    n: usize,
-    stride: usize,
+    rows: &mut [&mut [T]],
     base: usize,
     g: usize,
     scratch: &mut VoterScratch<T>,
     obs: &Obs,
 ) -> usize {
-    group_impl::<T, true>(params, buf, n, stride, base, g, scratch, obs)
+    group_impl::<T, true>(params, rows, base, g, scratch, obs)
 }
 
 /// The batched kernel body: **lane = series**. Where [`pass_impl`] slices
 /// one series across time (lane = sample index), this body transposes up to
-/// 64 *series* of a tile into per-time-step plane words, so every word
+/// 64 *series* of a band into per-time-step plane words, so every word
 /// operation advances 64 independent voters at once and none of the
 /// per-lane shift/reflection fix-ups of the time-sliced layout exist at
 /// all:
@@ -554,18 +553,16 @@ fn group_neon<T: BitPixel>(
 /// (cut-off below / at / above the bit), and the dual XOR/arithmetic prune
 /// collapses to the arithmetic test alone as in the per-series kernel.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn group_impl<T: BitPixel, const VEC: bool>(
     params: &BitsliceParams,
-    buf: &mut [T],
-    n: usize,
-    stride: usize,
+    rows: &mut [&mut [T]],
     base: usize,
     g: usize,
     scratch: &mut VoterScratch<T>,
     obs: &Obs,
 ) -> usize {
-    debug_assert!((1..=64).contains(&g) && base + g <= stride && buf.len() >= n * stride);
+    let n = rows.len();
+    debug_assert!((1..=64).contains(&g) && rows.iter().all(|row| base + g <= row.len()));
     let bits = T::BITS as usize;
     let half = params.upsilon.half();
     let valid: u64 = if g == 64 { u64::MAX } else { (1u64 << g) - 1 };
@@ -599,9 +596,9 @@ fn group_impl<T: BitPixel, const VEC: bool>(
     //    (`abits == T::BITS`) the bound costs one cheap pass.
     let mut or_x = 0u64;
     {
-        let ref_row = &buf[base..][..g];
-        for i in 1..n {
-            let row = &buf[i * stride + base..][..g];
+        let ref_row = &rows[0][base..][..g];
+        for row in &rows[1..] {
+            let row = &row[base..][..g];
             or_x = row
                 .iter()
                 .zip(ref_row)
@@ -622,7 +619,7 @@ fn group_impl<T: BitPixel, const VEC: bool>(
         bit_planes.resize(abits * n, 0);
         let mut block = [0u64; 64];
         for i in 0..n {
-            transpose_block(&buf[i * stride + base..][..g], &mut block);
+            transpose_block(&rows[i][base..][..g], &mut block);
             for (b, &w) in block[..abits].iter().enumerate() {
                 bit_planes[b * n + i] = w;
             }
@@ -667,8 +664,8 @@ fn group_impl<T: BitPixel, const VEC: bool>(
                 // scatter increments from the staged byte row.
                 let mut ebuf = [0u8; 64];
                 for i in 0..steady {
-                    let ra = &buf[i * stride + base..][..g];
-                    let rb = &buf[(i + d) * stride + base..][..g];
+                    let ra = &rows[i][base..][..g];
+                    let rb = &rows[i + d][base..][..g];
                     if T::BITS <= 32 {
                         for (e, (a, b)) in ebuf[..g].iter_mut().zip(ra.iter().zip(rb)) {
                             let mut y = (a.xor(*b).to_u64() as u32).saturating_sub(1);
@@ -697,8 +694,8 @@ fn group_impl<T: BitPixel, const VEC: bool>(
                 }
             } else {
                 for i in 0..steady {
-                    let ra = &buf[i * stride + base..][..g];
-                    let rb = &buf[(i + d) * stride + base..][..g];
+                    let ra = &rows[i][base..][..g];
+                    let rb = &rows[i + d][base..][..g];
                     for (l, (a, b)) in ra.iter().zip(rb).enumerate() {
                         hist[(l << 6) | cp2_exp::<T>(a.xor(*b).to_u64())] += 1;
                     }
@@ -964,7 +961,7 @@ fn group_impl<T: BitPixel, const VEC: bool>(
             untranspose_block(&mut col, &mut out[..g]);
             // Lanes outside `m` have an all-zero correction column, so the
             // whole-row XOR is branch-free and exact.
-            for (dst, &c) in buf[i * stride + base..][..g].iter_mut().zip(&out[..g]) {
+            for (dst, &c) in rows[i][base..][..g].iter_mut().zip(&out[..g]) {
                 *dst = dst.xor(c);
             }
         }

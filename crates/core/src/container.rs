@@ -464,86 +464,6 @@ impl<T: Copy> ImageStack<T> {
         }
     }
 
-    /// Copies the `tw × th` spatial tile at `(tx, ty)` into `scratch` in
-    /// **time-major** order: frame `f`'s tile pixels occupy
-    /// `scratch[f*tw*th .. (f+1)*tw*th]` row-major, so sample `(i, j, f)`
-    /// lands at `scratch[f*tw*th + j*tw + i]`.
-    ///
-    /// Unlike the series-major [`gather_tile_series`] transpose, this is a
-    /// pure sequence of row `memcpy`s on both sides — the layout the
-    /// batched bit-sliced kernel wants (it reads all series of a tile *at
-    /// one time step* together).
-    ///
-    /// `scratch` is cleared and resized to `tw * th * frames` elements.
-    ///
-    /// # Panics
-    /// Panics if the tile extends past the frame.
-    ///
-    /// [`gather_tile_series`]: ImageStack::gather_tile_series
-    pub fn gather_tile_time_major(
-        &self,
-        tx: usize,
-        ty: usize,
-        tw: usize,
-        th: usize,
-        scratch: &mut Vec<T>,
-    ) {
-        assert!(
-            tx + tw <= self.width && ty + th <= self.height,
-            "tile out of bounds"
-        );
-        scratch.clear();
-        let area = tw * th;
-        let n = area * self.frames;
-        if n == 0 {
-            return;
-        }
-        scratch.resize(n, self.data[0]);
-        for f in 0..self.frames {
-            let frame = self.frame(f);
-            let dst = &mut scratch[f * area..(f + 1) * area];
-            for j in 0..th {
-                dst[j * tw..(j + 1) * tw]
-                    .copy_from_slice(&frame[(ty + j) * self.width + tx..][..tw]);
-            }
-        }
-    }
-
-    /// Writes a time-major tile produced by
-    /// [`ImageStack::gather_tile_time_major`] (possibly modified in
-    /// between) back into the frame-major stack.
-    ///
-    /// # Panics
-    /// Panics if the tile extends past the frame or `scratch` has the
-    /// wrong length.
-    pub fn scatter_tile_time_major(
-        &mut self,
-        tx: usize,
-        ty: usize,
-        tw: usize,
-        th: usize,
-        scratch: &[T],
-    ) {
-        assert!(
-            tx + tw <= self.width && ty + th <= self.height,
-            "tile out of bounds"
-        );
-        let area = tw * th;
-        assert_eq!(
-            scratch.len(),
-            area * self.frames,
-            "scratch length must be tile area × frames"
-        );
-        let width = self.width;
-        for f in 0..self.frames {
-            let src = &scratch[f * area..(f + 1) * area];
-            let frame = self.frame_mut(f);
-            for j in 0..th {
-                frame[(ty + j) * width + tx..][..tw].copy_from_slice(&src[j * tw..(j + 1) * tw]);
-            }
-        }
-    }
-
     /// Blocked transpose *back*: writes a series-major tile produced by
     /// [`ImageStack::gather_tile_series`] (possibly modified in between)
     /// back into the frame-major stack.

@@ -76,10 +76,10 @@ pub use container::{Cube, Image, ImageStack};
 pub use error::CoreError;
 pub use kernel::Kernel;
 pub use pixel::{BitPixel, ValuePixel};
-pub use preprocessor::{available_threads, Preprocessor, DEFAULT_TILE};
+pub use preprocessor::{available_threads, Preprocessor};
 pub use sensitivity::{Sensitivity, Upsilon};
 pub use smoothing::{MeanSmoother, MedianSmoother};
-pub use traits::{BatchLayout, Exec, PlanePreprocessor, SeriesPreprocessor};
+pub use traits::{Exec, PlanePreprocessor, SeriesPreprocessor};
 pub use tuning::{observe_stack, TuneDecision, Tuner};
 pub use voter::{VoterMatrix, VoterScratch};
 pub use window::BitWindows;

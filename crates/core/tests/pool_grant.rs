@@ -22,5 +22,6 @@ fn an_idle_budget_grants_the_requested_helper() {
     // so the caller works alone and records no workers.
     let want = (available_threads() >= 2).then_some(2);
     assert_eq!(snap.counter("preprocess_pool_workers_total", None), want);
-    assert_eq!(snap.counter("preprocess_tiles_total", None), Some(4));
+    // 64×48 = 3072 lanes: 3 bands of 1024.
+    assert_eq!(snap.counter("preprocess_bands_total", None), Some(3));
 }

@@ -29,8 +29,8 @@ fn sequential_run_closes_a_golden_span_sequence() {
     let recorder = TimelineRecorder::new();
     obs.set_subscriber(Some(recorder.clone()));
 
-    // 64×48 at the default 32-tile → a 2×2 grid: exactly 4 tile spans,
-    // all closing before the enclosing "preprocess" span.
+    // 64×48 = 3072 lanes at the default 1024-lane band: exactly 3 band
+    // spans, all closing before the enclosing "preprocess" span.
     let algo = AlgoNgst::new(Upsilon::FOUR, Sensitivity::new(80).unwrap());
     let mut stack = noisy_stack(64, 48, 16);
     Preprocessor::new(&algo).observer(&obs).run(&mut stack);
@@ -43,7 +43,7 @@ fn sequential_run_closes_a_golden_span_sequence() {
         .collect();
     assert_eq!(
         skeleton,
-        vec!["tile", "tile", "tile", "tile", "preprocess"],
+        vec!["band", "band", "band", "preprocess"],
         "span close order is part of the observability contract"
     );
     // The default bit-sliced kernel times both of its stages once per
@@ -90,13 +90,13 @@ fn timeline_records_are_ordered_and_render_as_json() {
             "span starts must stay within the run's envelope"
         );
     }
-    // The outer "preprocess" span must cover every tile span.
+    // The outer "preprocess" span must cover every band span.
     let outer = records.last().expect("outer span closes last");
     assert_eq!(outer.stage, "preprocess");
-    for tile in &records[..records.len() - 1] {
+    for band in &records[..records.len() - 1] {
         assert!(
-            tile.start_us >= outer.start_us,
-            "tile spans start inside the preprocess span"
+            band.start_us >= outer.start_us,
+            "band spans start inside the preprocess span"
         );
     }
 

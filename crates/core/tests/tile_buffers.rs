@@ -1,5 +1,5 @@
-//! The tile driver keeps one tile buffer per thread for the whole run,
-//! rather than a repaired copy of every tile.
+//! The band driver repairs the stack in place: no thread allocates a
+//! buffer the size of a spatial tile (or larger) to gather its work into.
 //!
 //! A counting global allocator applies to the whole test binary, so this
 //! binary holds this one test only.
@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const SIDE: usize = 128;
 const FRAMES: usize = 16;
-/// One default 32×32 tile of `FRAMES` u16 samples.
+/// One 32×32 tile of `FRAMES` u16 samples: a buffer this large means a
+/// thread gathered its work instead of repairing the stack in place.
 const TILE_BYTES: usize = 32 * 32 * FRAMES * 2;
 
 /// Allocations that bring a buffer of at least [`TILE_BYTES`] into being.
@@ -48,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
-fn each_thread_allocates_one_tile_buffer() {
+fn no_thread_allocates_a_tile_buffer() {
     let mut st: ImageStack<u16> = ImageStack::new(SIDE, SIDE, FRAMES);
     for (i, v) in st.as_mut_slice().iter_mut().enumerate() {
         *v = 27_000 + (i % 7) as u16;
@@ -65,13 +66,14 @@ fn each_thread_allocates_one_tile_buffer() {
     let allocated = TILE_SIZED.load(Ordering::Relaxed) - before;
     assert!(changed > 0, "workload must exercise the repair path");
     let snap = obs.snapshot();
-    assert_eq!(snap.counter("preprocess_tiles_total", None), Some(16));
+    // 128×128 = 16384 lanes: 16 bands of 1024.
+    assert_eq!(snap.counter("preprocess_bands_total", None), Some(16));
     // Caller plus granted helpers; a run granted none records no workers.
     let threads = snap
         .counter("preprocess_pool_workers_total", None)
         .unwrap_or(1);
-    assert!(
-        allocated <= threads,
+    assert_eq!(
+        allocated, 0,
         "{allocated} tile-sized allocations for {threads} thread(s)"
     );
 }

@@ -123,17 +123,17 @@ fn warm_request_path_stays_inside_the_heap_budget() {
     handle.drain();
 
     // The sharp invariant: payload-scale allocations (fresh blocks of 8 KiB
-    // or more). Exactly one happens per round trip: the engine's tile
-    // gather in `Preprocessor::run`. A warmed daemon otherwise decodes into
-    // pooled buffers and replies through reused scratch + `writev`
-    // segments; the client grows its request encode and its reply stack
-    // from small first blocks, so they show in the byte ceiling below, not
-    // here. A decoder that sizes a buffer from the declared payload, or a
-    // daemon back on the pre-pool path, adds more per request and trips it.
-    assert!(
-        large <= MEASURED as u64,
+    // or more). None happens: a warmed daemon decodes into pooled buffers,
+    // `Preprocessor::run` repairs the stack in place, and replies leave
+    // through reused scratch + `writev` segments; the client grows its
+    // request encode and its reply stack from small first blocks, so they
+    // show in the byte ceiling below, not here. A decoder that sizes a
+    // buffer from the declared payload, a driver that gathers its work
+    // into a buffer, or a daemon back on the pre-pool path trips it.
+    assert_eq!(
+        large, 0,
         "{large} payload-scale allocations over {MEASURED} requests \
-         (the engine accounts for exactly {MEASURED}) — the pooled path regressed"
+         — the pooled in-place path regressed"
     );
     // And a generous whole-process byte ceiling to catch death by a
     // thousand small allocations: ~3 payload copies of client traffic

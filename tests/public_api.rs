@@ -50,7 +50,6 @@ fn prelude_drives_the_unified_execution_api() {
     let mut stack: ImageStack<u16> = ImageStack::new(8, 8, 4);
     let changed = Preprocessor::new(&algo)
         .threads(available_threads().min(2))
-        .tile(4)
         .kernel(Kernel::Bitsliced)
         .observer(&obs)
         .run(&mut stack);
