@@ -14,7 +14,7 @@
 //!
 //! `perf`, `serve` and `route` are the odd ones out: instead of an
 //! error-rate figure they time the system. `perf` sweeps the preprocessing
-//! drivers (naive / tiled / parallel) into `BENCH_preprocess.json`;
+//! drivers (naive / band, per thread count) into `BENCH_preprocess.json`;
 //! `serve` load-tests an in-process `preflightd` daemon (concurrent
 //! clients over loopback TCP) into `BENCH_serve.json`; `route` load-tests
 //! an in-process `preflight-router` fleet (N `preflightd` backends behind

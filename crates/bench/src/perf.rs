@@ -39,7 +39,8 @@ pub struct PerfConfig {
     pub height: usize,
     /// Temporal frames per coordinate.
     pub frames: usize,
-    /// Timed repetitions per driver; the best (minimum) time is reported.
+    /// Timed repetitions per driver; the median time is reported, with
+    /// the interquartile spread of the repetitions beside it.
     pub reps: usize,
     /// Thread counts to sweep for the `band` rows. Counts above the
     /// machine's available parallelism are skipped, not capped.
@@ -50,13 +51,15 @@ pub struct PerfConfig {
 
 impl PerfConfig {
     /// The standard workload: the 64×64×128 cube of the acceptance
-    /// criterion, swept over 1/2/4/8 threads, with a 3-pass section.
+    /// criterion, swept over 1/2/4/8 threads, with a 3-pass section. A pass
+    /// takes 3–60 ms, so one sample moves with every scheduler hiccup on a
+    /// shared host; 21 repetitions give a median and quartiles instead.
     pub fn standard() -> Self {
         PerfConfig {
             width: 64,
             height: 64,
             frames: 128,
-            reps: 3,
+            reps: 21,
             threads: vec![1, 2, 4, 8],
             multipass: 3,
         }
@@ -104,8 +107,10 @@ pub struct PerfRow {
     /// Worker threads that actually ran (1 for the sequential drivers;
     /// requested counts beyond the machine are skipped entirely).
     pub threads: usize,
-    /// Best wall time for one full run, in seconds.
+    /// Median wall time for one full run, in seconds.
     pub seconds: f64,
+    /// Interquartile range of the repetitions' wall times, in seconds.
+    pub iqr_seconds: f64,
     /// Million samples preprocessed per second of wall time.
     pub mpix_per_s: f64,
     /// Speedup over the section's scalar reference at the same pixel
@@ -204,27 +209,42 @@ pub fn tier_label(kernel: Kernel) -> &'static str {
     }
 }
 
-/// Best-of-`reps` wall time for `pass`, run on a fresh clone each rep.
-fn best_secs<T: BitPixel>(
+/// Wall-time spread of one driver over its repetitions.
+struct Timing {
+    median: f64,
+    iqr: f64,
+}
+
+/// The `q` quantile of ascending `sorted`, interpolated between ranks.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+}
+
+/// Times `reps` runs of `pass`, each on a fresh clone of `input`; returns
+/// their median and interquartile range plus the last run's output.
+fn timed_reps<T: BitPixel>(
     reps: usize,
     input: &ImageStack<T>,
     mut pass: impl FnMut(&mut ImageStack<T>) -> usize,
-) -> (f64, ImageStack<T>, usize) {
-    let mut best = f64::INFINITY;
+) -> (Timing, ImageStack<T>, usize) {
+    let mut secs = Vec::with_capacity(reps.max(1));
     let mut output = input.clone();
     let mut changed = 0;
     for _ in 0..reps.max(1) {
         let mut work = input.clone();
         let start = Instant::now();
-        let n = pass(&mut work);
-        let secs = start.elapsed().as_secs_f64();
-        if secs < best {
-            best = secs;
-        }
+        changed = pass(&mut work);
+        secs.push(start.elapsed().as_secs_f64());
         output = work;
-        changed = n;
     }
-    (best, output, changed)
+    secs.sort_by(f64::total_cmp);
+    let timing = Timing {
+        median: quantile(&secs, 0.5),
+        iqr: quantile(&secs, 0.75) - quantile(&secs, 0.25),
+    };
+    (timing, output, changed)
 }
 
 fn run_pixel_width<T: BitPixel>(
@@ -241,7 +261,8 @@ fn run_pixel_width<T: BitPixel>(
     // Single-pass section: every driver under both kernels, all checked
     // bit-identical against the naive/scalar reference.
     let reference = Preprocessor::new(&algo).naive(true).kernel(Kernel::Scalar);
-    let (ref_secs, reference_out, want) = best_secs(config.reps, &input, |s| reference.run(s));
+    let (ref_time, reference_out, want) = timed_reps(config.reps, &input, |s| reference.run(s));
+    let ref_secs = ref_time.median;
     rows.push(PerfRow {
         driver: "naive",
         kernel: kernel_label(Kernel::Scalar),
@@ -250,6 +271,7 @@ fn run_pixel_width<T: BitPixel>(
         passes: 1,
         threads: 1,
         seconds: ref_secs,
+        iqr_seconds: ref_time.iqr,
         mpix_per_s: mpix(ref_secs),
         speedup: 1.0,
     });
@@ -258,7 +280,7 @@ fn run_pixel_width<T: BitPixel>(
         let label = kernel_label(kernel);
         if kernel != Kernel::Scalar {
             let naive = Preprocessor::new(&algo).naive(true).kernel(kernel);
-            let (secs, out, got) = best_secs(config.reps, &input, |s| naive.run(s));
+            let (time, out, got) = timed_reps(config.reps, &input, |s| naive.run(s));
             assert_eq!(
                 (got, &out),
                 (want, &reference_out),
@@ -271,15 +293,16 @@ fn run_pixel_width<T: BitPixel>(
                 pixel_bits,
                 passes: 1,
                 threads: 1,
-                seconds: secs,
-                mpix_per_s: mpix(secs),
-                speedup: ref_secs / secs,
+                seconds: time.median,
+                iqr_seconds: time.iqr,
+                mpix_per_s: mpix(time.median),
+                speedup: ref_secs / time.median,
             });
         }
 
         for &threads in &thread_counts {
             let band = Preprocessor::new(&algo).threads(threads).kernel(kernel);
-            let (secs, out, got) = best_secs(config.reps, &input, |s| band.run(s));
+            let (time, out, got) = timed_reps(config.reps, &input, |s| band.run(s));
             assert_eq!(
                 (got, &out),
                 (want, &reference_out),
@@ -292,9 +315,10 @@ fn run_pixel_width<T: BitPixel>(
                 pixel_bits,
                 passes: 1,
                 threads,
-                seconds: secs,
-                mpix_per_s: mpix(secs),
-                speedup: ref_secs / secs,
+                seconds: time.median,
+                iqr_seconds: time.iqr,
+                mpix_per_s: mpix(time.median),
+                speedup: ref_secs / time.median,
             });
         }
     }
@@ -305,7 +329,9 @@ fn run_pixel_width<T: BitPixel>(
     if config.multipass > 1 {
         let multi = perf_algo_passes(config.multipass);
         let scalar = Preprocessor::new(&multi).kernel(Kernel::Scalar);
-        let (scalar_secs, scalar_out, scalar_n) = best_secs(config.reps, &input, |s| scalar.run(s));
+        let (scalar_time, scalar_out, scalar_n) =
+            timed_reps(config.reps, &input, |s| scalar.run(s));
+        let scalar_secs = scalar_time.median;
         rows.push(PerfRow {
             driver: "band",
             kernel: kernel_label(Kernel::Scalar),
@@ -314,6 +340,7 @@ fn run_pixel_width<T: BitPixel>(
             passes: config.multipass,
             threads: 1,
             seconds: scalar_secs,
+            iqr_seconds: scalar_time.iqr,
             mpix_per_s: mpix(scalar_secs),
             speedup: 1.0,
         });
@@ -321,7 +348,7 @@ fn run_pixel_width<T: BitPixel>(
         let kernel = Kernel::Bitsliced;
         let label = kernel_label(kernel);
         let timed = Preprocessor::new(&multi).kernel(kernel);
-        let (secs, out, got) = best_secs(config.reps, &input, |s| timed.run(s));
+        let (time, out, got) = timed_reps(config.reps, &input, |s| timed.run(s));
         assert_eq!(
             (got, &out),
             (scalar_n, &scalar_out),
@@ -334,9 +361,10 @@ fn run_pixel_width<T: BitPixel>(
             pixel_bits,
             passes: config.multipass,
             threads: 1,
-            seconds: secs,
-            mpix_per_s: mpix(secs),
-            speedup: scalar_secs / secs,
+            seconds: time.median,
+            iqr_seconds: time.iqr,
+            mpix_per_s: mpix(time.median),
+            speedup: scalar_secs / time.median,
         });
     }
 }
@@ -370,7 +398,7 @@ impl PerfReport {
         let _ = writeln!(
             out,
             "preprocess throughput, {}x{}x{} cube ({} samples/pass), \
-             best of {} rep(s), {} hardware thread(s)",
+             median of {} rep(s), {} hardware thread(s)",
             self.config.width,
             self.config.height,
             self.config.frames,
@@ -393,13 +421,22 @@ impl PerfReport {
         }
         let _ = writeln!(
             out,
-            "{:<10} {:<10} {:<9} {:>6} {:>7} {:>8} {:>12} {:>10} {:>8}",
-            "driver", "kernel", "tier", "bits", "passes", "threads", "seconds", "Mpix/s", "speedup"
+            "{:<10} {:<10} {:<9} {:>6} {:>7} {:>8} {:>12} {:>12} {:>10} {:>8}",
+            "driver",
+            "kernel",
+            "tier",
+            "bits",
+            "passes",
+            "threads",
+            "seconds",
+            "iqr seconds",
+            "Mpix/s",
+            "speedup"
         );
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "{:<10} {:<10} {:<9} {:>6} {:>7} {:>8} {:>12.6} {:>10.2} {:>7.2}x",
+                "{:<10} {:<10} {:<9} {:>6} {:>7} {:>8} {:>12.6} {:>12.6} {:>10.2} {:>7.2}x",
                 r.driver,
                 r.kernel,
                 r.dispatch_tier,
@@ -407,6 +444,7 @@ impl PerfReport {
                 r.passes,
                 r.threads,
                 r.seconds,
+                r.iqr_seconds,
                 r.mpix_per_s,
                 r.speedup
             );
@@ -444,7 +482,7 @@ impl PerfReport {
                 "    {{\"driver\": \"{}\", \"kernel\": \"{}\", \"dispatch_tier\": \"{}\", \
                  \"pixel_bits\": {}, \
                  \"passes\": {}, \"threads\": {}, \"seconds\": {:.6}, \
-                 \"mpix_per_s\": {:.3}, \"speedup\": {:.3}}}{comma}",
+                 \"iqr_seconds\": {:.6}, \"mpix_per_s\": {:.3}, \"speedup\": {:.3}}}{comma}",
                 r.driver,
                 r.kernel,
                 r.dispatch_tier,
@@ -452,6 +490,7 @@ impl PerfReport {
                 r.passes,
                 r.threads,
                 r.seconds,
+                r.iqr_seconds,
                 r.mpix_per_s,
                 r.speedup
             );
@@ -475,6 +514,7 @@ mod tests {
         assert_eq!(report.rows.len(), 2 * (2 + 2 * t + 2));
         assert!(report.rows.iter().all(|r| r.mpix_per_s > 0.0));
         assert!(report.rows.iter().all(|r| r.seconds > 0.0));
+        assert!(report.rows.iter().all(|r| r.iqr_seconds >= 0.0));
         // Bit-sliced rows carry the tier they executed under; the scalar
         // oracle has no dispatch.
         assert_eq!(report.cpu_features.first(), Some(&"portable"));
@@ -523,6 +563,7 @@ mod tests {
         assert!(json.starts_with("{\n"));
         assert!(json.ends_with("}\n"));
         assert_eq!(json.matches("\"driver\"").count(), report.rows.len());
+        assert_eq!(json.matches("\"iqr_seconds\"").count(), report.rows.len());
         assert!(json.contains("\"benchmark\": \"preprocess_throughput\""));
         assert!(json.contains("\"kernel\": \"scalar\""));
         assert!(json.contains("\"kernel\": \"bitsliced\""));
@@ -533,6 +574,16 @@ mod tests {
         let count = |c| json.matches(c).count();
         assert_eq!(count('{'), count('}'));
         assert_eq!(count('['), count(']'));
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 10.0];
+        assert_eq!(quantile(&sorted, 0.5), 3.0);
+        assert_eq!(quantile(&sorted, 0.25), 2.0);
+        assert_eq!(quantile(&sorted, 0.75), 4.0);
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
+        assert_eq!(quantile(&[7.0], 0.75), 7.0);
     }
 
     #[test]

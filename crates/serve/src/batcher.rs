@@ -1,9 +1,10 @@
 //! The adaptive batching scheduler.
 //!
-//! Admitted submissions land here, keyed by *(stream, geometry, dtype,
-//! parameters)*. The batcher coalesces compatible submissions into one
-//! temporal stack so the engine always preprocesses a deep, cache-friendly
-//! cube instead of many shallow ones. A group flushes when any of:
+//! Admitted submissions land in one shared group map, keyed by *(stream,
+//! geometry, dtype, parameters)*. The [`Batcher`] coalesces compatible
+//! submissions into one temporal stack so the engine always preprocesses a
+//! deep, cache-friendly cube instead of many shallow ones. A group flushes
+//! when any of:
 //!
 //! - its depth reaches the **effective target** — the configured
 //!   `target_frames` scaled up under load (adaptive batching: a busy queue
@@ -11,10 +12,16 @@
 //! - a submission carries the **end-of-stream** flag (the client needs its
 //!   answer now; also what makes single-shot requests byte-identical to the
 //!   in-process path),
-//! - the group's **deadline** (`max_delay` since it opened) elapses,
+//! - the group's **deadline** (`max_delay` after its first job was
+//!   admitted) elapses,
 //! - the server **drains**.
 //!
-//! The batcher holds each job's [`AdmissionPermit`] transitively, so frames
+//! The event-loop shards share one [`Batcher`]: each submits inline at
+//! admission and fires due deadlines from its poll timeout, so one stream
+//! coalesces across shards and a flushed batch goes straight to the engine
+//! queue. [`run_batcher`] drives the same map from a command channel.
+//!
+//! The map holds each job's [`AdmissionPermit`] transitively, so frames
 //! parked here still occupy bounded-queue capacity — backpressure covers
 //! the whole pipeline, not just the wire.
 
@@ -24,6 +31,7 @@ use crate::wire::{Dtype, SubmitRequest};
 use crossbeam::channel;
 use preflight_obs::Histogram;
 use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Batching knobs.
@@ -89,13 +97,11 @@ pub struct SubmitJob {
     pub reply: ReplySink,
 }
 
-/// Commands the batcher thread accepts.
+/// Commands [`run_batcher`] accepts.
 pub enum BatcherCmd {
     /// An admitted submission to coalesce.
     Submit(SubmitJob),
-    /// Flush every open group now (drain path).
-    FlushAll,
-    /// Flush everything and exit the batcher thread.
+    /// Flush everything and return.
     Stop,
 }
 
@@ -142,17 +148,136 @@ pub struct BatchJob {
     pub total_frames: usize,
 }
 
-struct Group {
-    jobs: Vec<SubmitJob>,
-    frames: usize,
-    opened_at: Instant,
+/// An open group: its first job's admission time (the deadline runs from
+/// there) and the batch it is building.
+type Group = (Instant, BatchJob);
+
+/// The shared group map. Every method flushes inline: a flushed batch is on
+/// the engine queue when the method returns.
+pub struct Batcher {
+    config: BatchConfig,
+    gate: AdmissionGate,
+    /// Each group's formation time (open to flush): the `batch` stage.
+    batch_hist: Histogram,
+    state: Mutex<State>,
 }
 
-/// Runs the batching loop until [`BatcherCmd::Stop`] or every sender is
-/// gone. Never blocks longer than the nearest group deadline.
-///
-/// `batch_hist` receives each group's formation time (open to flush) —
-/// the `batch` stage of the serve pipeline.
+struct State {
+    groups: HashMap<GroupKey, Group>,
+    /// The engine queue's only sender; `None` once closed, which is what
+    /// lets the engine workers exit.
+    engine_tx: Option<channel::Sender<BatchJob>>,
+}
+
+impl Batcher {
+    /// A batcher flushing into `engine_tx`, its depth target scaled by
+    /// `gate`'s load.
+    pub fn new(
+        engine_tx: channel::Sender<BatchJob>,
+        gate: AdmissionGate,
+        config: BatchConfig,
+        batch_hist: Histogram,
+    ) -> Self {
+        let state = Mutex::new(State {
+            groups: HashMap::new(),
+            engine_tx: Some(engine_tx),
+        });
+        Batcher {
+            config,
+            gate,
+            batch_hist,
+            state,
+        }
+    }
+
+    fn ship(&self, engine_tx: &Option<channel::Sender<BatchJob>>, (opened_at, batch): Group) {
+        self.batch_hist
+            .observe_us(opened_at.elapsed().as_micros() as u64);
+        // A closed or dead engine queue drops the jobs, releasing their
+        // permits; the clients see the connection close.
+        if let Some(tx) = engine_tx {
+            let _ = tx.send(batch);
+        }
+    }
+
+    /// Appends `job` to its group: first flushes the group if the job would
+    /// push it past `max_frames`, then flushes on end-of-stream or at the
+    /// effective depth target.
+    ///
+    /// # Errors
+    /// Hands the job back once [`Batcher::close`] has run.
+    pub fn submit(&self, job: SubmitJob) -> Result<(), Box<SubmitJob>> {
+        let mut state = self.state.lock().expect("batcher poisoned");
+        let State { groups, engine_tx } = &mut *state;
+        if engine_tx.is_none() {
+            return Err(Box::new(job));
+        }
+        let key = GroupKey::of(&job.request);
+        let (frames, eos) = (job.request.payload.frames(), job.request.eos);
+        let max = self.config.max_frames;
+        if groups
+            .get(&key)
+            .is_some_and(|(_, b)| b.total_frames + frames > max)
+        {
+            self.ship(engine_tx, groups.remove(&key).expect("open group"));
+        }
+        let (_, batch) = groups.entry(key).or_insert_with(|| {
+            let batch = BatchJob {
+                key,
+                jobs: Vec::new(),
+                total_frames: 0,
+            };
+            (job.admitted_at, batch)
+        });
+        batch.jobs.push(job);
+        batch.total_frames += frames;
+        let target = self
+            .config
+            .effective_target(&self.gate, key.upsilon as usize);
+        if eos || batch.total_frames >= target.min(max) {
+            self.ship(engine_tx, groups.remove(&key).expect("open group"));
+        }
+        Ok(())
+    }
+
+    /// Flushes every group whose deadline is at or before `now`; returns
+    /// the time from `now` to the nearest remaining deadline, if any.
+    pub fn flush_due(&self, now: Instant) -> Option<Duration> {
+        let mut state = self.state.lock().expect("batcher poisoned");
+        let State { groups, engine_tx } = &mut *state;
+        let deadline = |opened_at: &Instant| *opened_at + self.config.max_delay;
+        for (_, group) in groups.extract_if(|_, (opened_at, _)| deadline(opened_at) <= now) {
+            self.ship(engine_tx, group);
+        }
+        groups
+            .values()
+            .map(|(opened_at, _)| deadline(opened_at).saturating_duration_since(now))
+            .min()
+    }
+
+    /// Flushes every open group now (drain path).
+    pub fn flush_all(&self) {
+        let mut state = self.state.lock().expect("batcher poisoned");
+        let State { groups, engine_tx } = &mut *state;
+        for (_, group) in groups.drain() {
+            self.ship(engine_tx, group);
+        }
+    }
+
+    /// Flushes every open group and drops the engine queue's sender, so the
+    /// engine workers exit once the queue is empty.
+    pub fn close(&self) {
+        let mut state = self.state.lock().expect("batcher poisoned");
+        let engine_tx = state.engine_tx.take();
+        for (_, group) in state.groups.drain() {
+            self.ship(&engine_tx, group);
+        }
+    }
+}
+
+/// Drives a [`Batcher`] from a command channel until [`BatcherCmd::Stop`]
+/// or every sender is gone, then flushes what is left. Waits no longer
+/// than the nearest group deadline.
 pub fn run_batcher(
     rx: channel::Receiver<BatcherCmd>,
     engine_tx: channel::Sender<BatchJob>,
@@ -160,90 +285,22 @@ pub fn run_batcher(
     config: BatchConfig,
     batch_hist: Histogram,
 ) {
-    let mut groups: HashMap<GroupKey, Group> = HashMap::new();
-    let idle_tick = Duration::from_millis(50);
+    let batcher = Batcher::new(engine_tx, gate, config, batch_hist);
     loop {
-        let timeout = groups
-            .values()
-            .map(|g| (g.opened_at + config.max_delay).saturating_duration_since(Instant::now()))
-            .min()
-            .unwrap_or(idle_tick);
-        match rx.recv_timeout(timeout) {
-            Ok(BatcherCmd::Submit(job)) => {
-                let key = GroupKey::of(&job.request);
-                let eos = job.request.eos;
-                let frames = job.request.payload.frames();
-                // Never grow an open group past the hard cap by appending:
-                // flush what is there first, then start fresh.
-                if groups
-                    .get(&key)
-                    .is_some_and(|g| g.frames + frames > config.max_frames)
-                {
-                    flush(&mut groups, key, &engine_tx, &batch_hist);
-                }
-                let group = groups.entry(key).or_insert_with(|| Group {
-                    jobs: Vec::new(),
-                    frames: 0,
-                    opened_at: Instant::now(),
-                });
-                group.jobs.push(job);
-                group.frames += frames;
-                let target = config.effective_target(&gate, key.upsilon as usize);
-                if eos || group.frames >= target || group.frames >= config.max_frames {
-                    flush(&mut groups, key, &engine_tx, &batch_hist);
-                }
-            }
-            Ok(BatcherCmd::FlushAll) => flush_all(&mut groups, &engine_tx, &batch_hist),
-            Ok(BatcherCmd::Stop) => {
-                flush_all(&mut groups, &engine_tx, &batch_hist);
-                return;
-            }
-            Err(channel::RecvTimeoutError::Timeout) => {
-                let due: Vec<GroupKey> = groups
-                    .iter()
-                    .filter(|(_, g)| g.opened_at.elapsed() >= config.max_delay)
-                    .map(|(k, _)| *k)
-                    .collect();
-                for key in due {
-                    flush(&mut groups, key, &engine_tx, &batch_hist);
-                }
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => {
-                flush_all(&mut groups, &engine_tx, &batch_hist);
-                return;
-            }
+        let cmd = match batcher.flush_due(Instant::now()) {
+            Some(wait) => rx.recv_timeout(wait),
+            None => rx
+                .recv()
+                .map_err(|_| channel::RecvTimeoutError::Disconnected),
+        };
+        match cmd {
+            // Never closed, so every job is taken.
+            Ok(BatcherCmd::Submit(job)) => drop(batcher.submit(job)),
+            Ok(BatcherCmd::Stop) | Err(channel::RecvTimeoutError::Disconnected) => break,
+            Err(channel::RecvTimeoutError::Timeout) => {}
         }
     }
-}
-
-fn flush(
-    groups: &mut HashMap<GroupKey, Group>,
-    key: GroupKey,
-    engine_tx: &channel::Sender<BatchJob>,
-    batch_hist: &Histogram,
-) {
-    if let Some(group) = groups.remove(&key) {
-        batch_hist.observe_us(group.opened_at.elapsed().as_micros() as u64);
-        let batch = BatchJob {
-            key,
-            total_frames: group.frames,
-            jobs: group.jobs,
-        };
-        // A dead engine (shutdown race) drops the jobs, releasing their
-        // permits; the clients see the connection close.
-        let _ = engine_tx.send(batch);
-    }
-}
-
-fn flush_all(
-    groups: &mut HashMap<GroupKey, Group>,
-    engine_tx: &channel::Sender<BatchJob>,
-    batch_hist: &Histogram,
-) {
-    let keys: Vec<GroupKey> = groups.keys().copied().collect();
-    for key in keys {
-        flush(groups, key, engine_tx, batch_hist);
-    }
+    batcher.flush_all();
 }
 
 #[cfg(test)]
@@ -270,33 +327,27 @@ mod tests {
     fn job(
         gate: &AdmissionGate,
         req: SubmitRequest,
+        admitted_at: Instant,
     ) -> (SubmitJob, channel::Receiver<(u64, crate::wire::Message)>) {
         let (sink, rx) = ReplySink::detached();
         (
             SubmitJob {
                 request: req,
                 permit: gate.try_acquire().expect("capacity"),
-                admitted_at: Instant::now(),
+                admitted_at,
                 reply: sink,
             },
             rx,
         )
     }
 
-    fn spawn_batcher(
+    fn batcher(
         gate: &AdmissionGate,
         config: BatchConfig,
-    ) -> (
-        channel::Sender<BatcherCmd>,
-        channel::Receiver<BatchJob>,
-        std::thread::JoinHandle<()>,
-    ) {
-        let (cmd_tx, cmd_rx) = channel::unbounded();
+    ) -> (Batcher, channel::Receiver<BatchJob>) {
         let (batch_tx, batch_rx) = channel::unbounded();
-        let g = gate.clone();
         let hist = preflight_obs::Obs::disabled().histogram(preflight_obs::STAGE_SECONDS, None);
-        let handle = std::thread::spawn(move || run_batcher(cmd_rx, batch_tx, g, config, hist));
-        (cmd_tx, batch_rx, handle)
+        (Batcher::new(batch_tx, gate.clone(), config, hist), batch_rx)
     }
 
     #[test]
@@ -307,17 +358,16 @@ mod tests {
             max_delay: Duration::from_secs(60),
             ..BatchConfig::default()
         };
-        let (cmd_tx, batch_rx, handle) = spawn_batcher(&gate, config);
+        let (batcher, batch_rx) = batcher(&gate, config);
         let (req, _) = submit(7, 4, true);
-        let (j, _reply_rx) = job(&gate, req);
-        cmd_tx.send(BatcherCmd::Submit(j)).unwrap();
+        let (j, _reply_rx) = job(&gate, req, Instant::now());
+        assert!(batcher.submit(j).is_ok());
         let batch = batch_rx
-            .recv_timeout(Duration::from_secs(5))
+            .try_recv()
             .expect("EOS must flush without waiting for depth or deadline");
         assert_eq!(batch.total_frames, 4);
         assert_eq!(batch.key.stream_id, 7);
-        cmd_tx.send(BatcherCmd::Stop).unwrap();
-        handle.join().unwrap();
+        assert_eq!(batcher.flush_due(Instant::now()), None, "nothing left open");
     }
 
     #[test]
@@ -329,14 +379,15 @@ mod tests {
             adaptive: false,
             ..BatchConfig::default()
         };
-        let (cmd_tx, batch_rx, handle) = spawn_batcher(&gate, config);
+        let (batcher, batch_rx) = batcher(&gate, config);
+        let t0 = Instant::now();
         // Stream 1 gets 4 + 4 frames (reaches the target), stream 2 only 4.
         for (stream, eos) in [(1, false), (2, false), (1, false)] {
             let (req, _) = submit(stream, 4, eos);
-            let (j, _r) = job(&gate, req);
-            cmd_tx.send(BatcherCmd::Submit(j)).unwrap();
+            let (j, _r) = job(&gate, req, t0);
+            assert!(batcher.submit(j).is_ok());
         }
-        let batch = batch_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let batch = batch_rx.try_recv().unwrap();
         assert_eq!(batch.key.stream_id, 1);
         assert_eq!(batch.total_frames, 8);
         assert_eq!(batch.jobs.len(), 2);
@@ -344,10 +395,14 @@ mod tests {
             batch_rx.try_recv().is_err(),
             "stream 2 is below target and its deadline is far away"
         );
-        cmd_tx.send(BatcherCmd::Stop).unwrap();
-        let leftover = batch_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            batcher.flush_due(t0 + Duration::from_secs(1)),
+            Some(Duration::from_secs(59))
+        );
+        assert!(batch_rx.try_recv().is_err());
+        batcher.flush_all();
+        let leftover = batch_rx.try_recv().unwrap();
         assert_eq!(leftover.key.stream_id, 2);
-        handle.join().unwrap();
     }
 
     #[test]
@@ -358,19 +413,19 @@ mod tests {
             max_delay: Duration::from_millis(30),
             ..BatchConfig::default()
         };
-        let (cmd_tx, batch_rx, handle) = spawn_batcher(&gate, config);
+        let (batcher, batch_rx) = batcher(&gate, config);
         let (req, _) = submit(3, 2, false);
-        let (j, _r) = job(&gate, req);
         let before = Instant::now();
-        cmd_tx.send(BatcherCmd::Submit(j)).unwrap();
-        let batch = batch_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(
-            before.elapsed() >= Duration::from_millis(25),
-            "flushed before the deadline"
+        let (j, _r) = job(&gate, req, before);
+        assert!(batcher.submit(j).is_ok());
+        assert_eq!(
+            batcher.flush_due(before + Duration::from_millis(25)),
+            Some(Duration::from_millis(5))
         );
+        assert!(batch_rx.try_recv().is_err(), "flushed before the deadline");
+        assert_eq!(batcher.flush_due(before + Duration::from_millis(30)), None);
+        let batch = batch_rx.try_recv().expect("deadline must flush");
         assert_eq!(batch.total_frames, 2);
-        cmd_tx.send(BatcherCmd::Stop).unwrap();
-        handle.join().unwrap();
     }
 
     #[test]
@@ -382,22 +437,21 @@ mod tests {
             max_delay: Duration::from_secs(60),
             adaptive: false,
         };
-        let (cmd_tx, batch_rx, handle) = spawn_batcher(&gate, config);
+        let (batcher, batch_rx) = batcher(&gate, config);
         // 4 + 4 frames: appending the second submission would cross the
         // 6-frame cap, so the open group must flush alone first instead of
         // shipping an 8-frame batch.
         for _ in 0..2 {
             let (req, _) = submit(5, 4, false);
-            let (j, _r) = job(&gate, req);
-            cmd_tx.send(BatcherCmd::Submit(j)).unwrap();
+            let (j, _r) = job(&gate, req, Instant::now());
+            assert!(batcher.submit(j).is_ok());
         }
-        let first = batch_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let first = batch_rx.try_recv().unwrap();
         assert_eq!(first.total_frames, 4, "cap exceeded by appending");
         assert_eq!(first.jobs.len(), 1);
-        cmd_tx.send(BatcherCmd::Stop).unwrap();
-        let second = batch_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        batcher.flush_all();
+        let second = batch_rx.try_recv().unwrap();
         assert_eq!(second.total_frames, 4);
-        handle.join().unwrap();
     }
 
     #[test]
@@ -422,5 +476,52 @@ mod tests {
             ..config
         };
         assert_eq!(small.effective_target(&idle, 8), 8);
+    }
+
+    #[test]
+    fn close_flushes_then_hands_submissions_back() {
+        let gate = AdmissionGate::new(8);
+        let (batcher, batch_rx) = batcher(&gate, BatchConfig::default());
+        let (req, _) = submit(4, 2, false);
+        let (j, _r) = job(&gate, req, Instant::now());
+        assert!(batcher.submit(j).is_ok());
+        batcher.close();
+        assert_eq!(batch_rx.try_recv().unwrap().total_frames, 2);
+        let (req, _) = submit(4, 2, true);
+        let (j, _r) = job(&gate, req, Instant::now());
+        assert!(batcher.submit(j).is_err(), "closed batcher took a job");
+        assert!(
+            matches!(
+                batch_rx.try_recv(),
+                Err(channel::TryRecvError::Disconnected)
+            ),
+            "close must drop the engine queue's only sender"
+        );
+    }
+
+    #[test]
+    fn run_batcher_flushes_eos_and_leftovers_on_stop() {
+        let gate = AdmissionGate::new(8);
+        let (cmd_tx, cmd_rx) = channel::unbounded();
+        let (batch_tx, batch_rx) = channel::unbounded();
+        let hist = preflight_obs::Obs::disabled().histogram(preflight_obs::STAGE_SECONDS, None);
+        let config = BatchConfig {
+            max_delay: Duration::from_secs(60),
+            ..BatchConfig::default()
+        };
+        let g = gate.clone();
+        let handle = std::thread::spawn(move || run_batcher(cmd_rx, batch_tx, g, config, hist));
+        for (stream, eos) in [(1, true), (2, false)] {
+            let (req, _) = submit(stream, 4, eos);
+            let (j, _r) = job(&gate, req, Instant::now());
+            cmd_tx.send(BatcherCmd::Submit(j)).unwrap();
+        }
+        let batch = batch_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(batch.key.stream_id, 1, "EOS flushes at once");
+        cmd_tx.send(BatcherCmd::Stop).unwrap();
+        handle.join().unwrap();
+        let leftover = batch_rx.try_recv().expect("Stop flushes open groups");
+        assert_eq!(leftover.key.stream_id, 2);
+        assert!(batch_rx.try_recv().is_err());
     }
 }

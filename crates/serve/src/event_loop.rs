@@ -13,6 +13,12 @@
 //!   listener accepts, acquires the connection permit, and round-robins
 //!   the accepted fd to its peers over a handoff channel + waker.
 //!
+//! Admitted jobs go to the shared [`crate::batcher::Batcher`] inline; no
+//! batcher thread sits between a shard and the engine queue. Every loop
+//! iteration fires the batch deadlines that are due (`max_delay`, far finer
+//! than the [`TimerWheel`]'s one-second slots) and sleeps no later than the
+//! next one.
+//!
 //! The per-connection data path is zero-copy:
 //!
 //! - **Ingest**: `Submit` payload bytes are read off the socket *directly
@@ -45,7 +51,7 @@
 
 #![cfg(unix)]
 
-use crate::batcher::{BatcherCmd, SubmitJob};
+use crate::batcher::SubmitJob;
 use crate::ingest::Ingest;
 use crate::poll::{Interest, Poller, WakeReader, IOV_BATCH};
 use crate::pool::BufferPool;
@@ -295,7 +301,7 @@ pub(crate) fn run_event_loop(cfg: LoopConfig) {
     let (accepts, wakeups) = stats.shard_counters(shard);
 
     // Registration failures here are fatal to the loop but not the
-    // process: the daemon keeps running (batcher/engine alive) and
+    // process: the daemon keeps running (engine workers alive) and
     // `drain()` still joins cleanly.
     if poller
         .add(wake_reader.raw_fd(), TOKEN_WAKER, Interest::Read)
@@ -335,7 +341,10 @@ pub(crate) fn run_event_loop(cfg: LoopConfig) {
 
     loop {
         let now = Instant::now();
-        let mut timeout = wheel.next_deadline(now);
+        let mut timeout = [wheel.next_deadline(now), shared.batcher.flush_due(now)]
+            .into_iter()
+            .flatten()
+            .min();
         if drain.is_some() {
             // Poll the gate for idleness (or another shard's ack) while a
             // wire drain is pending on this shard.
@@ -823,7 +832,8 @@ fn dispatch(
     match message {
         Message::Submit(request) => {
             // The admission stage spans decode-to-verdict: drain check,
-            // gate acquire, and handing the job (or rejection) onward.
+            // gate acquire, and the inline batcher submit — including any
+            // flush it triggers and the engine send — or the rejection.
             let _admission = shared.stats.stage_admission.timer();
             let request_id = request.request_id;
             if shared.draining.load(Ordering::SeqCst) {
@@ -846,7 +856,7 @@ fn dispatch(
                         admitted_at: Instant::now(),
                         reply: ReplySink::new(conn.token, reply_tx.clone(), Some(wake.clone())),
                     };
-                    if shared.batcher_tx.send(BatcherCmd::Submit(job)).is_err() {
+                    if shared.batcher.submit(job).is_err() {
                         queue_reply(
                             conn,
                             &Message::Error(ErrorReply {

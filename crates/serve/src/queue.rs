@@ -2,7 +2,7 @@
 //!
 //! The daemon never buffers without bound: every submission must win an
 //! [`AdmissionPermit`] before it is parsed past the envelope, and the permit
-//! lives for the request's whole stay — waiting in the batcher, riding
+//! lives for the request's whole stay — parked in a batch group, riding
 //! through the engine, and until its response is handed to the connection
 //! writer. When all `capacity` permits are out, the next submission is
 //! rejected with `Busy` immediately; nothing queues behind the queue.

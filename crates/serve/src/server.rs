@@ -3,9 +3,9 @@
 //! Thread layout (`preflightd` with both sockets enabled, N shards):
 //!
 //! ```text
-//!   sockets ──▶ ┌─ loop shard 0 ─┐          ┌─ engine worker 0 ─┐
-//!   sockets ──▶ ┼─ loop shard 1 ─┼──▶ batcher ┼─ engine worker 1 ─┘
-//!               └─ ...           ┘          └─ ...
+//!   sockets ──▶ ┌─ loop shard 0 ─┐  shared   ┌─ engine worker 0 ─┐
+//!   sockets ──▶ ┼─ loop shard 1 ─┼─▶ group ──▶┼─ engine worker 1 ─┘
+//!               └─ ...           ┘  map     └─ ...
 //!                 ▲ per-shard reply channel (token, Message) + waker
 //! ```
 //!
@@ -17,16 +17,20 @@
 //! listener (the kernel load-balances accepts); the Unix listener lives on
 //! shard 0, which round-robins accepted sockets to its peers. Engine
 //! workers answer through the owning shard's reply channel plus that
-//! shard's self-pipe waker. The batcher, engine workers, and the
-//! Prometheus scrape listener keep their own (few, fixed) threads.
+//! shard's self-pipe waker. Batching has no thread of its own: each shard
+//! appends admitted jobs to the shared [`Batcher`] group map inline, flushes
+//! full or end-of-stream groups straight to the engine queue, and folds
+//! the nearest group deadline into its poll timeout. The engine workers
+//! and the Prometheus scrape listener keep their own (few, fixed) threads.
 //!
 //! Graceful shutdown (wire `Drain` or SIGTERM→[`ServerHandle::drain`]):
-//! stop admitting, flush the batcher's open groups, wait for every permit
-//! to return (all in-flight responses queued), then stop the batcher and
-//! engine workers and join them. The loop never blocks on a drain — wire
-//! `Drain` acks are deferred until the gate reports idle.
+//! stop admitting, flush every open group, wait for every permit to return
+//! (all in-flight responses queued), then close the batcher — which drops
+//! the engine queue's only sender, so the engine workers exit — and join
+//! every thread. The loop never blocks on a drain — wire `Drain` acks are
+//! deferred until the gate reports idle.
 
-use crate::batcher::{run_batcher, BatchConfig, BatcherCmd};
+use crate::batcher::{BatchConfig, Batcher};
 use crate::engine::{run_engine_worker, EngineConfig, TunerRegistry};
 use crate::metrics::run_metrics_listener;
 use crate::queue::AdmissionGate;
@@ -139,7 +143,8 @@ pub(crate) struct Shared {
     /// answered with `Busy` and closed.
     pub(crate) conn_gate: AdmissionGate,
     pub(crate) stats: Arc<ServerStats>,
-    pub(crate) batcher_tx: channel::Sender<BatcherCmd>,
+    /// The group map every shard submits admitted jobs to.
+    pub(crate) batcher: Batcher,
     /// No new work admitted; the loop deregisters its listeners.
     pub(crate) draining: AtomicBool,
     /// Fully drained; the loop closes every connection and exits.
@@ -153,7 +158,7 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        let _ = self.batcher_tx.send(BatcherCmd::FlushAll);
+        self.batcher.flush_all();
         self.wake_loop();
     }
 
@@ -240,7 +245,9 @@ impl ServerHandle {
         }
         self.shared.stopped.store(true, Ordering::SeqCst);
         self.shared.wake_loop();
-        let _ = self.shared.batcher_tx.send(BatcherCmd::Stop);
+        // Drops the engine queue's only sender (after flushing anything a
+        // timed-out wait left open), so the workers exit once it is empty.
+        self.shared.batcher.close();
         let mut threads = self.threads.lock().expect("server threads poisoned");
         for t in threads.drain(..) {
             let _ = t.join();
@@ -253,8 +260,8 @@ impl ServerHandle {
 }
 
 /// Binds the configured sockets and starts the daemon threads: the event
-/// loop, the batcher, the engine workers, and (optionally) the metrics
-/// listener. The internal entry point behind
+/// loop shards, the engine workers, and (optionally) the metrics listener.
+/// The internal entry point behind
 /// [`crate::builder::ServerBuilder::serve`].
 ///
 /// # Errors
@@ -299,14 +306,18 @@ fn start_impl(config: ServerConfig) -> std::io::Result<ServerHandle> {
         stats.pool_hits.clone(),
         stats.pool_misses.clone(),
     ));
-    let (batcher_tx, batcher_rx) = channel::unbounded();
     let (engine_tx, engine_rx) = channel::unbounded();
 
     let shared = Arc::new(Shared {
         gate: gate.clone(),
         conn_gate: AdmissionGate::new(config.max_connections.max(1)),
         stats: Arc::clone(&stats),
-        batcher_tx,
+        batcher: Batcher::new(
+            engine_tx,
+            gate,
+            config.batch.clone(),
+            stats.stage_batch.clone(),
+        ),
         draining: AtomicBool::new(false),
         stopped: AtomicBool::new(false),
         drain_acked: AtomicBool::new(false),
@@ -314,19 +325,6 @@ fn start_impl(config: ServerConfig) -> std::io::Result<ServerHandle> {
     });
 
     let mut threads = Vec::new();
-
-    {
-        let rx = batcher_rx;
-        let tx = engine_tx;
-        let gate = gate.clone();
-        let batch = config.batch.clone();
-        let batch_hist = stats.stage_batch.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("preflightd-batcher".into())
-                .spawn(move || run_batcher(rx, tx, gate, batch, batch_hist))?,
-        );
-    }
     // One registry instance shared by every worker clone, so a stream's
     // calibrator state survives whichever worker picks up its next batch.
     let mut engine_config = config.engine.clone();

@@ -94,7 +94,7 @@ fn warm_request_path_stays_inside_the_heap_budget() {
     };
 
     // Warm-up: fills the buffer pool, the per-connection scratch, the
-    // batcher's group maps, and every lazily-grown channel block.
+    // shared batch group map, and every lazily-grown channel block.
     for i in 0..16u16 {
         let data: Vec<u16> = vec![2000 + i; W * H * FRAMES];
         submit(

@@ -6,9 +6,10 @@
 use preflight_core::{AlgoNgst, ImageStack, Preprocessor, Sensitivity, Upsilon};
 use preflight_serve::server::ServerConfig;
 use preflight_serve::wire::FramePayload;
-use preflight_serve::ServerBuilder;
+use preflight_serve::{BatchConfig, ServerBuilder};
 use preflight_serve::{Client, ClientBuilder, SubmitOptions};
 use preflight_supervisor::FtLevel;
+use std::time::{Duration, Instant};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -170,5 +171,60 @@ fn u32_frames_survive_the_wire_and_get_repaired() {
     };
     assert_eq!(served.as_slice(), direct.as_slice());
 
+    handle.drain();
+}
+
+#[test]
+fn open_group_flushes_at_its_deadline_not_the_stall_wheel() {
+    // One open-ended chunk, far below the depth target: only the group's
+    // `max_delay` deadline can flush it. The event loops fire it; a
+    // deadline left to their one-second stall wheel would answer late.
+    const MAX_DELAY: Duration = Duration::from_millis(20);
+    let handle = ServerBuilder::new()
+        .bind("127.0.0.1:0")
+        .batch(BatchConfig {
+            target_frames: 1000,
+            max_delay: MAX_DELAY,
+            ..BatchConfig::default()
+        })
+        .serve()
+        .expect("server start");
+    let mut client = ClientBuilder::new()
+        .tcp(handle.tcp_addr().unwrap())
+        .io_timeout(Duration::from_secs(5))
+        .connect()
+        .expect("connect");
+
+    let stack = noisy_stack(16, 12, 8, 0xDEAD_0020);
+    let want = expected_repair(&stack, 80, 4);
+    let sent = Instant::now();
+    client
+        .send_submit(
+            FramePayload::U16(stack),
+            &SubmitOptions {
+                stream_id: 20,
+                lambda: 80,
+                upsilon: 4,
+                eos: false,
+            },
+        )
+        .expect("send");
+    let response = client.recv_response().expect("deadline flush answers");
+    let waited = sent.elapsed();
+
+    assert!(
+        waited >= MAX_DELAY,
+        "answered after {waited:?}, before the deadline"
+    );
+    assert!(
+        waited < Duration::from_millis(500),
+        "answered after {waited:?}: the deadline fired late"
+    );
+    assert_eq!(response.stats.batch_requests, 1);
+    assert_eq!(response.stats.batch_frames, 8);
+    let FramePayload::U16(served) = response.payload else {
+        panic!("response changed pixel type");
+    };
+    assert_eq!(served.as_slice(), want.as_slice());
     handle.drain();
 }

@@ -3,11 +3,13 @@
 //! directly — sharding may move accepts and reads across threads, but
 //! never change the science product. Covers the `SO_REUSEPORT` TCP path
 //! (kernel-balanced accepts) and the Unix round-robin handoff path
-//! (shard 0 accepts, peers serve).
+//! (shard 0 accepts, peers serve), and one stream coalescing into one
+//! batch across connections on different shards.
 
 use preflight_core::{AlgoNgst, ImageStack, Preprocessor, Sensitivity, Upsilon};
 use preflight_serve::wire::FramePayload;
-use preflight_serve::{ClientBuilder, ServerBuilder, SubmitOptions};
+use preflight_serve::{BatchConfig, ClientBuilder, ServerBuilder, SubmitOptions};
+use std::time::{Duration, Instant};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -188,5 +190,76 @@ fn wire_drain_acks_with_multiple_shards() {
     let summary = client.drain().expect("drain ack");
     assert_eq!(summary.completed, 1);
     assert!(handle.drain_acked());
+    handle.drain();
+}
+
+#[cfg(unix)]
+#[test]
+fn one_stream_coalesces_across_shards() {
+    // Shard 0 round-robins Unix accepts, so two connections land on the
+    // two shards. Both append to the one shared group map: A's open chunk
+    // waits there (deep target, far deadline) until B's end-of-stream
+    // chunk on the same stream flushes them as one batch.
+    let sock = std::env::temp_dir().join(format!("preflightd-xshard-{}.sock", std::process::id()));
+    let handle = ServerBuilder::new()
+        .unix(&sock)
+        .shards(2)
+        .batch(BatchConfig {
+            target_frames: 64,
+            max_delay: Duration::from_secs(30),
+            ..BatchConfig::default()
+        })
+        .serve()
+        .expect("daemon start");
+    let connect = || {
+        ClientBuilder::new()
+            .unix(&sock)
+            .io_timeout(Duration::from_secs(10))
+            .connect()
+            .expect("connect")
+    };
+    let opts = |eos| SubmitOptions {
+        stream_id: 9,
+        lambda: 80,
+        upsilon: 4,
+        eos,
+    };
+    let (first, second) = (noisy_stack(16, 12, 8, 0x9A), noisy_stack(16, 12, 6, 0x9B));
+    let mut joined = first.as_slice().to_vec();
+    joined.extend_from_slice(second.as_slice());
+    let want = direct_repair(&ImageStack::from_vec(16, 12, 14, joined).unwrap(), 80, 4);
+    let split = first.as_slice().len();
+
+    let mut a = connect();
+    let mut b = connect();
+    a.send_submit(FramePayload::U16(first), &opts(false))
+        .expect("send open chunk");
+    // B's chunk must find A's already grouped: wait for A's admission.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.in_flight() == 0 {
+        assert!(Instant::now() < deadline, "open chunk never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    b.send_submit(FramePayload::U16(second), &opts(true))
+        .expect("send closing chunk");
+
+    let replies = [
+        a.recv_response().expect("open chunk answered"),
+        b.recv_response().expect("closing chunk answered"),
+    ];
+    for (reply, range) in replies.iter().zip([0..split, split..want.as_slice().len()]) {
+        assert_eq!(reply.stats.batch_requests, 2, "chunks flushed apart");
+        assert_eq!(reply.stats.batch_frames, 14);
+        let FramePayload::U16(served) = &reply.payload else {
+            panic!("response changed pixel type");
+        };
+        assert_eq!(served.as_slice(), &want.as_slice()[range]);
+    }
+    let accepts = |shard| handle.stats().shard_counters(shard).0.get();
+    assert_eq!(
+        (accepts(0), accepts(1)),
+        (1, 1),
+        "the two connections must land on different shards"
+    );
     handle.drain();
 }
