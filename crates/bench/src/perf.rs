@@ -8,7 +8,12 @@
 //! timed under both voter kernels (the [`Kernel::Scalar`] oracle and the
 //! bit-sliced [`Kernel::Bitsliced`]), and a multi-pass section times the
 //! band driver on one thread at `passes = 3`, where the bit-plane
-//! transposes pay off most. All drivers run with observability disabled
+//! transposes pay off most. A fixed kernel-alone section times the band
+//! driver's bit-sliced kernel on the serving benchmark's geometry: seeded
+//! 128×128×16 `u16` NGST stacks with uncorrelated flips at Γ₀ = 10⁻³, the
+//! stacks `perfbench`'s `direct` and `bulk` workloads send, so the
+//! end-to-end numbers have a kernel-only row on the same input to be
+//! compared against. All drivers run with observability disabled
 //! (the default), so these numbers double as the zero-overhead guard for
 //! the instrumentation. `repro perf` writes them to
 //! `BENCH_preprocess.json`.
@@ -27,6 +32,8 @@ use preflight_core::{
     available_threads, detected_tiers, dispatch_tier, AlgoNgst, BitPixel, ImageStack, Kernel,
     NgstConfig, Preprocessor, Sensitivity, Upsilon,
 };
+use preflight_datagen::ngst::{NgstModel, DEFAULT_START, NMS_SIGMA};
+use preflight_faults::{seeded_rng, Uncorrelated};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -47,6 +54,10 @@ pub struct PerfConfig {
     pub threads: Vec<usize>,
     /// Voter passes for the multi-pass section (`0` disables it).
     pub multipass: usize,
+    /// Timed repetitions per row of the kernel-alone section. A row takes
+    /// a few milliseconds, so it needs more samples than the cube's rows
+    /// for the same spread.
+    pub ngst_reps: usize,
 }
 
 impl PerfConfig {
@@ -62,6 +73,7 @@ impl PerfConfig {
             reps: 21,
             threads: vec![1, 2, 4, 8],
             multipass: 3,
+            ngst_reps: 201,
         }
     }
 
@@ -74,6 +86,7 @@ impl PerfConfig {
             reps: 1,
             threads: vec![1, 2],
             multipass: 3,
+            ngst_reps: 1,
         }
     }
 
@@ -119,6 +132,18 @@ pub struct PerfRow {
     pub speedup: f64,
 }
 
+/// Width, height and frames of the kernel-alone section's stack: the
+/// geometry of `perfbench`'s `direct` and `bulk` workloads.
+pub const NGST_GEOMETRY: (usize, usize, usize) = (128, 128, 16);
+
+/// Per-bit flip probability Γ₀ injected into the kernel-alone section's
+/// stack, as `perfbench` injects it.
+pub const NGST_GAMMA0: f64 = 1e-3;
+
+/// Thread counts the kernel-alone section times (counts beyond the
+/// machine are skipped, as in the sweep).
+pub const NGST_THREADS: [usize; 2] = [1, 2];
+
 /// A complete perf run: the workload shape plus every timed cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
@@ -126,6 +151,9 @@ pub struct PerfReport {
     pub config: PerfConfig,
     /// The machine's available parallelism when the run happened.
     pub available_threads: usize,
+    /// The host's CPU model as `/proc/cpuinfo` names it (`unknown` where
+    /// that file is absent).
+    pub host_cpu: String,
     /// CPU feature tiers usable on this machine (always starts with
     /// `portable`), as detected at run time.
     pub cpu_features: Vec<&'static str>,
@@ -135,6 +163,10 @@ pub struct PerfReport {
     pub skipped_threads: Vec<usize>,
     /// All timed cells, grouped by pixel width then driver.
     pub rows: Vec<PerfRow>,
+    /// The kernel-alone section on [`NGST_GEOMETRY`] stacks: the one-thread
+    /// band/scalar reference, then the band/bitsliced rows at each of
+    /// [`NGST_THREADS`] this machine has; speedups are vs the reference.
+    pub ngst_rows: Vec<PerfRow>,
 }
 
 /// Synthetic calm-sky stack with sparse high-bit flips: the workload every
@@ -369,6 +401,65 @@ fn run_pixel_width<T: BitPixel>(
     }
 }
 
+/// The kernel-alone section's stack: one seeded NGST random-walk stack of
+/// [`NGST_GEOMETRY`] (§6 model, NMS-like σ) with uncorrelated flips at
+/// [`NGST_GAMMA0`].
+fn ngst_stack(seed: u64) -> ImageStack<u16> {
+    let (width, height, frames) = NGST_GEOMETRY;
+    let mut rng = seeded_rng(seed);
+    let mut stack = NgstModel::new(frames, DEFAULT_START, NMS_SIGMA).stack(width, height, &mut rng);
+    Uncorrelated::new(NGST_GAMMA0)
+        .expect("NGST_GAMMA0 is a valid probability")
+        .inject_stack(&mut stack, &mut rng);
+    stack
+}
+
+/// Times the kernel-alone section: the band driver on [`ngst_stack`] under
+/// the scalar oracle (one thread, the reference) and the bit-sliced kernel
+/// at each of [`NGST_THREADS`], every output checked against the oracle's.
+fn run_ngst_section(config: &PerfConfig) -> Vec<PerfRow> {
+    let algo = perf_algo();
+    let input = ngst_stack(1);
+    let reps = config.ngst_reps;
+    let mpix = |secs: f64| input.len() as f64 / secs / 1e6;
+    let row = |kernel, threads, time: &Timing, speedup| PerfRow {
+        driver: "band",
+        kernel: kernel_label(kernel),
+        dispatch_tier: tier_label(kernel),
+        pixel_bits: 16,
+        passes: 1,
+        threads,
+        seconds: time.median,
+        iqr_seconds: time.iqr,
+        mpix_per_s: mpix(time.median),
+        speedup,
+    };
+    let scalar = Preprocessor::new(&algo).kernel(Kernel::Scalar);
+    let (ref_time, want_out, want) = timed_reps(reps, &input, |s| scalar.run(s));
+    let mut rows = vec![row(Kernel::Scalar, 1, &ref_time, 1.0)];
+    for threads in NGST_THREADS {
+        if threads > available_threads() {
+            continue;
+        }
+        let band = Preprocessor::new(&algo)
+            .threads(threads)
+            .kernel(Kernel::Bitsliced);
+        let (time, out, got) = timed_reps(reps, &input, |s| band.run(s));
+        assert_eq!(
+            (got, &out),
+            (want, &want_out),
+            "NGST band/bitsliced diverged at {threads} threads"
+        );
+        rows.push(row(
+            Kernel::Bitsliced,
+            threads,
+            &time,
+            ref_time.median / time.median,
+        ));
+    }
+    rows
+}
+
 /// Runs the full sweep: every driver × kernel, `u16` and `u32` pixels.
 pub fn preprocess_perf(config: &PerfConfig) -> PerfReport {
     let cap = available_threads();
@@ -384,10 +475,12 @@ pub fn preprocess_perf(config: &PerfConfig) -> PerfReport {
     PerfReport {
         config: config.clone(),
         available_threads: cap,
+        host_cpu: host_cpu(),
         cpu_features: detected_tiers().into_iter().map(|t| t.name()).collect(),
         resolved_tier: dispatch_tier().name(),
         skipped_threads,
         rows,
+        ngst_rows: run_ngst_section(config),
     }
 }
 
@@ -408,7 +501,8 @@ impl PerfReport {
         );
         let _ = writeln!(
             out,
-            "cpu features: [{}], bit-sliced dispatch tier: {}",
+            "host cpu: {}, cpu features: [{}], bit-sliced dispatch tier: {}",
+            self.host_cpu,
             self.cpu_features.join(", "),
             self.resolved_tier
         );
@@ -419,36 +513,15 @@ impl PerfReport {
                 self.skipped_threads
             );
         }
+        table_rows(&mut out, &self.rows);
+        let (width, height, frames) = NGST_GEOMETRY;
         let _ = writeln!(
             out,
-            "{:<10} {:<10} {:<9} {:>6} {:>7} {:>8} {:>12} {:>12} {:>10} {:>8}",
-            "driver",
-            "kernel",
-            "tier",
-            "bits",
-            "passes",
-            "threads",
-            "seconds",
-            "iqr seconds",
-            "Mpix/s",
-            "speedup"
+            "\nkernel alone, {width}x{height}x{frames} u16 NGST stack, \
+             Γ₀ = {NGST_GAMMA0}, median of {} rep(s)",
+            self.config.ngst_reps
         );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<10} {:<10} {:<9} {:>6} {:>7} {:>8} {:>12.6} {:>12.6} {:>10.2} {:>7.2}x",
-                r.driver,
-                r.kernel,
-                r.dispatch_tier,
-                r.pixel_bits,
-                r.passes,
-                r.threads,
-                r.seconds,
-                r.iqr_seconds,
-                r.mpix_per_s,
-                r.speedup
-            );
-        }
+        table_rows(&mut out, &self.ngst_rows);
         out
     }
 
@@ -465,6 +538,7 @@ impl PerfReport {
         let _ = writeln!(out, "  \"samples_per_pass\": {},", self.config.samples());
         let _ = writeln!(out, "  \"reps\": {},", self.config.reps);
         let _ = writeln!(out, "  \"available_threads\": {},", self.available_threads);
+        let _ = writeln!(out, "  \"host_cpu\": \"{}\",", self.host_cpu);
         let features: Vec<String> = self
             .cpu_features
             .iter()
@@ -474,30 +548,93 @@ impl PerfReport {
         let _ = writeln!(out, "  \"dispatch_tier\": \"{}\",", self.resolved_tier);
         let skipped: Vec<String> = self.skipped_threads.iter().map(|t| t.to_string()).collect();
         let _ = writeln!(out, "  \"skipped_threads\": [{}],", skipped.join(", "));
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    {{\"driver\": \"{}\", \"kernel\": \"{}\", \"dispatch_tier\": \"{}\", \
-                 \"pixel_bits\": {}, \
-                 \"passes\": {}, \"threads\": {}, \"seconds\": {:.6}, \
-                 \"iqr_seconds\": {:.6}, \"mpix_per_s\": {:.3}, \"speedup\": {:.3}}}{comma}",
-                r.driver,
-                r.kernel,
-                r.dispatch_tier,
-                r.pixel_bits,
-                r.passes,
-                r.threads,
-                r.seconds,
-                r.iqr_seconds,
-                r.mpix_per_s,
-                r.speedup
-            );
-        }
-        out.push_str("  ]\n}\n");
+        json_rows(&mut out, "rows", &self.rows);
+        out.push_str(",\n");
+        let (width, height, frames) = NGST_GEOMETRY;
+        let _ = writeln!(
+            out,
+            "  \"ngst_stack\": {{\"width\": {width}, \"height\": {height}, \
+             \"frames\": {frames}, \"gamma0\": {NGST_GAMMA0}, \"reps\": {}}},",
+            self.config.ngst_reps
+        );
+        json_rows(&mut out, "ngst_rows", &self.ngst_rows);
+        out.push_str("\n}\n");
         out
     }
+}
+
+/// Appends the column header and one aligned line per row.
+fn table_rows(out: &mut String, rows: &[PerfRow]) {
+    let _ = writeln!(
+        out,
+        "{:<10} {:<10} {:<9} {:>6} {:>7} {:>8} {:>12} {:>12} {:>10} {:>8}",
+        "driver",
+        "kernel",
+        "tier",
+        "bits",
+        "passes",
+        "threads",
+        "seconds",
+        "iqr seconds",
+        "Mpix/s",
+        "speedup"
+    );
+    for r in rows {
+        let _ = writeln!(
+            out,
+            "{:<10} {:<10} {:<9} {:>6} {:>7} {:>8} {:>12.6} {:>12.6} {:>10.2} {:>7.2}x",
+            r.driver,
+            r.kernel,
+            r.dispatch_tier,
+            r.pixel_bits,
+            r.passes,
+            r.threads,
+            r.seconds,
+            r.iqr_seconds,
+            r.mpix_per_s,
+            r.speedup
+        );
+    }
+}
+
+/// Appends `"key": [ … ]` with one JSON object per row (no trailing comma
+/// or newline after the closing bracket).
+fn json_rows(out: &mut String, key: &str, rows: &[PerfRow]) {
+    let _ = writeln!(out, "  \"{key}\": [");
+    for (i, r) in rows.iter().enumerate() {
+        let comma = if i + 1 == rows.len() { "" } else { "," };
+        let _ = writeln!(
+            out,
+            "    {{\"driver\": \"{}\", \"kernel\": \"{}\", \"dispatch_tier\": \"{}\", \
+             \"pixel_bits\": {}, \
+             \"passes\": {}, \"threads\": {}, \"seconds\": {:.6}, \
+             \"iqr_seconds\": {:.6}, \"mpix_per_s\": {:.3}, \"speedup\": {:.3}}}{comma}",
+            r.driver,
+            r.kernel,
+            r.dispatch_tier,
+            r.pixel_bits,
+            r.passes,
+            r.threads,
+            r.seconds,
+            r.iqr_seconds,
+            r.mpix_per_s,
+            r.speedup
+        );
+    }
+    out.push_str("  ]");
+}
+
+/// The host's CPU model as `/proc/cpuinfo` names it, or `unknown` where
+/// that file is absent. JSON-unsafe characters are dropped.
+fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+                .map(|(_, name)| name.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 #[cfg(test)]
@@ -538,6 +675,18 @@ mod tests {
             .filter(|r| r.driver == "naive" && r.kernel == "scalar")
             .all(|r| r.speedup == 1.0));
         assert!(report.rows.iter().any(|r| r.passes == config.multipass));
+        // The kernel-alone section: the scalar reference, then one
+        // bit-sliced row per NGST thread count this machine has.
+        let ngst_threads = NGST_THREADS
+            .iter()
+            .filter(|&&t| t <= report.available_threads)
+            .count();
+        assert_eq!(report.ngst_rows.len(), 1 + ngst_threads);
+        assert_eq!(report.ngst_rows[0].kernel, "scalar");
+        assert_eq!(report.ngst_rows[0].speedup, 1.0);
+        assert!(report.ngst_rows[1..]
+            .iter()
+            .all(|r| r.kernel == "bitsliced" && r.driver == "band" && r.mpix_per_s > 0.0));
     }
 
     #[test]
@@ -562,8 +711,11 @@ mod tests {
         let json = report.to_json();
         assert!(json.starts_with("{\n"));
         assert!(json.ends_with("}\n"));
-        assert_eq!(json.matches("\"driver\"").count(), report.rows.len());
-        assert_eq!(json.matches("\"iqr_seconds\"").count(), report.rows.len());
+        let rows = report.rows.len() + report.ngst_rows.len();
+        assert_eq!(json.matches("\"driver\"").count(), rows);
+        assert_eq!(json.matches("\"iqr_seconds\"").count(), rows);
+        assert!(json.contains("\"ngst_stack\": {\"width\": 128, \"height\": 128, \"frames\": 16"));
+        assert!(json.contains("\"host_cpu\": \""));
         assert!(json.contains("\"benchmark\": \"preprocess_throughput\""));
         assert!(json.contains("\"kernel\": \"scalar\""));
         assert!(json.contains("\"kernel\": \"bitsliced\""));
@@ -584,6 +736,17 @@ mod tests {
         assert_eq!(quantile(&sorted, 0.75), 4.0);
         assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
         assert_eq!(quantile(&[7.0], 0.75), 7.0);
+    }
+
+    #[test]
+    fn ngst_stack_is_seeded_and_gives_the_voter_work() {
+        let stack = ngst_stack(1);
+        assert_eq!(
+            (stack.width(), stack.height(), stack.frames()),
+            NGST_GEOMETRY
+        );
+        assert_eq!(stack, ngst_stack(1));
+        assert!(Preprocessor::new(perf_algo()).run(&mut stack.clone()) > 0);
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //!    `≤ 2^e` (a monotone map preserves rank statistics, so this is
 //!    bit-identical to `select_nth_unstable` + `ceil_pow2`). In plane
 //!    space `diff > 2^e` is three word ops against precomputed
-//!    prefix/suffix OR planes, and the count is a masked popcount — the
-//!    rank selection becomes a 4–5 step binary search over bit positions,
-//!    64 diffs at a time, with no data-dependent branching.
+//!    prefix/suffix OR planes. Where lanes are samples of one series, the
+//!    count for every `e` is a masked popcount, 64 diffs at a time. Where
+//!    lanes are series, each lane has its own cut-off: the masks feed a
+//!    bit-sliced per-lane counter, and a walk over `e` gives each lane the
+//!    first `e` whose count of diffs above `2^e` is small enough.
 //! 3. **Prune** — the dual XOR/arithmetic deviance rule collapses to the
 //!    arithmetic test alone (`|a−b| ≤ a⊕b` always, so `|a−b| > V_val`
 //!    implies the XOR test). The subtraction runs as a ripple-borrow chain
@@ -212,7 +214,7 @@ fn calibrate_x86() -> DispatchTier {
         let mut work = buf.clone();
         let mut rows: Vec<&mut [u32]> = work.chunks_mut(64).collect();
         let t0 = std::time::Instant::now();
-        group_impl::<u32, false>(&params, &mut rows, 0, 64, &mut scratch, &obs);
+        group_impl(&params, &mut rows, 0, 64, &mut scratch, &obs);
         best[1] = best[1].min(t0.elapsed());
     }
     if best[0] < best[1] {
@@ -421,14 +423,37 @@ pub fn untranspose_block<T: BitPixel>(planes: &mut [u64; 64], out: &mut [T]) {
     }
 }
 
-/// The exponent of [`BitPixel::ceil_pow2`]: `ceil_pow2(x) == 1 << cp2_exp(x)`
-/// for every representable `x`, including the `x ≤ 1 → 1` floor and the
-/// top-bit saturation.
+/// One step of the group kernel's cut-off walk, at exponent `e`: adds each
+/// steady pairing's `x > 2^e` mask (`suf | (x_e & below)`, with `row` bit
+/// plane `e`) into the bit-sliced counter `cnt` preset to `preset`, ORs
+/// `x_e` into `below` for the next step, and returns the lanes whose
+/// counter carried out of its top plane. Called with a fixed-size array,
+/// the counter planes stay in registers.
 #[inline(always)]
-fn cp2_exp<T: BitPixel>(x: u64) -> usize {
-    // Branch-free: x ≤ 1 saturates the subtraction to 0, whose 64 leading
-    // zeros give exponent 0 — the same floor the branching form encodes.
-    (64 - x.saturating_sub(1).leading_zeros()).min(T::BITS - 1) as usize
+fn walk_step(
+    preset: usize,
+    below: &mut [u64],
+    suf: &[u64],
+    row: &[u64],
+    d: usize,
+    cnt: &mut [u64],
+) -> u64 {
+    for (j, c) in cnt.iter_mut().enumerate() {
+        *c = 0u64.wrapping_sub((preset >> j & 1) as u64);
+    }
+    let mut over = 0u64;
+    for ((bl, &s), (&a, &p)) in below.iter_mut().zip(suf).zip(row.iter().zip(&row[d..])) {
+        let x = a ^ p;
+        let mut carry = s | (x & *bl);
+        *bl |= x;
+        for c in cnt.iter_mut() {
+            let t = *c & carry;
+            *c ^= carry;
+            carry = t;
+        }
+        over |= carry;
+    }
+    over
 }
 
 /// The batched multi-pass driver entry: runs analyze-and-repair rounds over
@@ -498,7 +523,7 @@ fn bitsliced_group_pass<T: BitPixel>(
                 group_neon(params, rows, base, g, scratch, obs)
             }
         }
-        _ => group_impl::<T, false>(params, rows, base, g, scratch, obs),
+        _ => group_impl(params, rows, base, g, scratch, obs),
     }
 }
 
@@ -512,7 +537,7 @@ fn group_avx2<T: BitPixel>(
     scratch: &mut VoterScratch<T>,
     obs: &Obs,
 ) -> usize {
-    group_impl::<T, true>(params, rows, base, g, scratch, obs)
+    group_impl(params, rows, base, g, scratch, obs)
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -525,7 +550,7 @@ fn group_neon<T: BitPixel>(
     scratch: &mut VoterScratch<T>,
     obs: &Obs,
 ) -> usize {
-    group_impl::<T, true>(params, rows, base, g, scratch, obs)
+    group_impl(params, rows, base, g, scratch, obs)
 }
 
 /// The batched kernel body: **lane = series**. Where [`pass_impl`] slices
@@ -539,21 +564,24 @@ fn group_neon<T: BitPixel>(
 ///   `i+d` (reflected tail rows just index a different role),
 /// - the backward voter plane is the forward φ row of `d` steps earlier —
 ///   pointer reuse instead of a cross-word funnel shift,
-/// - every inner loop streams over the `n` time steps with **no
+/// - every plane loop streams over the `n` time steps with **no
 ///   loop-carried dependency** (ripple borrows and complement carries live
 ///   in per-time-step lane arrays, carried by the *outer* loop over bit
 ///   positions), so LLVM vectorizes each of them for the active dispatch
-///   tier.
+///   tier; the one exception is the cut-off walk's counter.
 ///
-/// Per-lane cut-offs come from a scalar exponent histogram per series
-/// (`cp2_exp` of each XOR diff): the smallest `e` whose cumulative count
-/// reaches the sensitivity rank is exactly `ceil_pow2` of the rank-selected
-/// diff, because `ceil_pow2` is monotone. The per-lane power-of-two
-/// threshold then turns into three precomputed lane masks per bit position
-/// (cut-off below / at / above the bit), and the dual XOR/arithmetic prune
-/// collapses to the arithmetic test alone as in the per-series kernel.
+/// Per-lane cut-offs are selected in plane space too. For each exponent
+/// `e` in turn, the masks of the diffs above `2^e` (three word ops against
+/// suffix-OR planes) are added into a bit-sliced per-lane counter; a lane
+/// takes the first `e` at which at most `steady − rank` of its diffs lie
+/// above `2^e`. That is `ceil_pow2` of the rank-selected diff, because
+/// `ceil_pow2` is monotone, and the walk stops as soon as every lane has
+/// its `e`. The per-lane power-of-two threshold then turns into three lane
+/// masks per bit position (cut-off below / at / above the bit), and the
+/// dual XOR/arithmetic prune collapses to the arithmetic test alone as in
+/// the per-series kernel.
 #[inline(always)]
-fn group_impl<T: BitPixel, const VEC: bool>(
+fn group_impl<T: BitPixel>(
     params: &BitsliceParams,
     rows: &mut [&mut [T]],
     base: usize,
@@ -572,6 +600,7 @@ fn group_impl<T: BitPixel, const VEC: bool>(
         acc_one_bits,
         group_corr,
         group_chain,
+        group_count,
         voter_builds,
         window_derivations,
         bitslice_transposes,
@@ -646,83 +675,85 @@ fn group_impl<T: BitPixel, const VEC: bool>(
 
         for d in 1..=half {
             let steady = n - d;
-            let rank = params.sensitivity.cutoff_rank(n, steady) as u32;
+            let rank = params.sensitivity.cutoff_rank(n, steady);
 
-            // 2. Per-lane cut-off exponents from a scalar histogram of the
-            //    way's XOR-diff `ceil_pow2` exponents over the steady
-            //    pairings (the same population the scalar rank selection
-            //    sees). Time-major pays off twice here: both pairing rows
-            //    are contiguous reads, and consecutive increments hit
-            //    *different* lanes' histogram rows, so they pipeline
-            //    instead of stalling on store-to-load forwarding.
-            let mut hist = [0u32; 64 * 64];
-            if VEC {
-                // SIMD tiers split the work: a branch-free exponent pass
-                // the vectorizer lowers to smear + popcount (for any `y`,
-                // `popcount(y | y>>1 | … )` *is* `64 − leading_zeros(y)`,
-                // so this computes exactly `cp2_exp`), then the scalar
-                // scatter increments from the staged byte row.
-                let mut ebuf = [0u8; 64];
-                for i in 0..steady {
-                    let ra = &rows[i][base..][..g];
-                    let rb = &rows[i + d][base..][..g];
-                    if T::BITS <= 32 {
-                        for (e, (a, b)) in ebuf[..g].iter_mut().zip(ra.iter().zip(rb)) {
-                            let mut y = (a.xor(*b).to_u64() as u32).saturating_sub(1);
-                            y |= y >> 1;
-                            y |= y >> 2;
-                            y |= y >> 4;
-                            y |= y >> 8;
-                            y |= y >> 16;
-                            *e = y.count_ones().min(T::BITS - 1) as u8;
-                        }
-                    } else {
-                        for (e, (a, b)) in ebuf[..g].iter_mut().zip(ra.iter().zip(rb)) {
-                            let mut y = a.xor(*b).to_u64().saturating_sub(1);
-                            y |= y >> 1;
-                            y |= y >> 2;
-                            y |= y >> 4;
-                            y |= y >> 8;
-                            y |= y >> 16;
-                            y |= y >> 32;
-                            *e = (y.count_ones().min(T::BITS as u64 as u32 - 1)) as u8;
-                        }
-                    }
-                    for (l, &e) in ebuf[..g].iter().enumerate() {
-                        hist[(l << 6) | e as usize] += 1;
-                    }
-                }
-            } else {
-                for i in 0..steady {
-                    let ra = &rows[i][base..][..g];
-                    let rb = &rows[i + d][base..][..g];
-                    for (l, (a, b)) in ra.iter().zip(rb).enumerate() {
-                        hist[(l << 6) | cp2_exp::<T>(a.xor(*b).to_u64())] += 1;
-                    }
+            // 2. Per-lane cut-off exponents, selected in plane space. A
+            //    lane's `V_val` is `2^e` for the smallest `e` at which at
+            //    least `rank` of its steady XOR diffs `x` are `≤ 2^e`, i.e.
+            //    at most `steady − rank` are `> 2^e` (`ceil_pow2` is
+            //    monotone, so this is the rank-selected diff's `ceil_pow2`).
+            //    `x > 2^e` iff a bit above `e` is set, or bit `e` is set
+            //    together with a lower one: `suf[e+1] | (x_e & below)`,
+            //    with `suf` the suffix-OR planes of the diffs and `below`
+            //    the OR of the planes under `e`. Every diff is `< 2^abits`
+            //    and `ceil_pow2` saturates at the top bit, so `e = top`
+            //    always qualifies. Row `r` of `group_corr` (unused until
+            //    step 4) holds `suf[r+1]`.
+            let suf = &mut group_corr[..];
+            let top = abits.min(bits - 1);
+            if abits > 0 {
+                suf[(abits - 1) * n..][..steady].fill(0);
+            }
+            for r in (0..abits.saturating_sub(1)).rev() {
+                let row = &bit_planes[(r + 1) * n..(r + 2) * n];
+                let (lo, hi) = suf.split_at_mut((r + 1) * n);
+                for ((s, &u), (&a, &p)) in lo[r * n..][..steady]
+                    .iter_mut()
+                    .zip(&hi[..steady])
+                    .zip(row[..steady].iter().zip(&row[d..]))
+                {
+                    *s = u | (a ^ p);
                 }
             }
-            let exps = &mut cutoff_exp[d - 1];
-            for (l, e_out) in exps[..g].iter_mut().enumerate() {
-                let mut e = bits - 1;
-                let mut acc = 0u32;
-                for (b, &h) in hist[l << 6..][..bits].iter().enumerate() {
-                    acc += h;
-                    if acc >= rank {
-                        e = b;
-                        break;
-                    }
+            //    Walk `e` upwards, counting each lane's diffs above `2^e` in
+            //    a bit-sliced counter preset to `2^k − 1 − (steady − rank)`:
+            //    the count exceeds `steady − rank` exactly when the counter
+            //    carries out of its `k` planes, so `over` flags the lanes
+            //    whose cut-off lies above `e`. A lane takes the first `e`
+            //    it does not flag; the walk stops once every lane has one.
+            let k = (usize::BITS - steady.leading_zeros()) as usize;
+            let preset = (1usize << k) - 1 - (steady - rank);
+            group_count.clear();
+            group_count.resize(k, 0);
+            let below = &mut neg[..steady];
+            below.fill(0);
+            let mut eq_m = [0u64; 64];
+            let mut pending = valid;
+            for (e, lanes) in eq_m[..top].iter_mut().enumerate() {
+                let row = &bit_planes[e * n..(e + 1) * n];
+                let suf_row = &group_corr[e * n..][..steady];
+                // `k` is 4 at 16 frames and at most 7 up to 128; the
+                // fixed-size arms keep those counters in registers.
+                let over = match k {
+                    1 => walk_step(preset, below, suf_row, row, d, &mut [0; 1]),
+                    2 => walk_step(preset, below, suf_row, row, d, &mut [0; 2]),
+                    3 => walk_step(preset, below, suf_row, row, d, &mut [0; 3]),
+                    4 => walk_step(preset, below, suf_row, row, d, &mut [0; 4]),
+                    5 => walk_step(preset, below, suf_row, row, d, &mut [0; 5]),
+                    6 => walk_step(preset, below, suf_row, row, d, &mut [0; 6]),
+                    7 => walk_step(preset, below, suf_row, row, d, &mut [0; 7]),
+                    _ => walk_step(preset, below, suf_row, row, d, group_count),
+                };
+                *lanes = pending & !over;
+                pending &= over;
+                if pending == 0 {
+                    break;
                 }
-                *e_out = e as u8;
+            }
+            eq_m[top] |= pending;
+            let exps = &mut cutoff_exp[d - 1];
+            for (e, &lanes) in eq_m[..=top].iter().enumerate() {
+                let mut m = lanes;
+                while m != 0 {
+                    exps[m.trailing_zeros() as usize] = e as u8;
+                    m &= m - 1;
+                }
             }
 
             // 3. Lane masks of the cut-off position per bit plane: a bit of
             //    |a−b| at plane `b` is above/at/below a lane's cut-off
             //    `2^e` according to these masks, making the power-of-two
             //    comparison three AND-ORs per plane with no per-lane work.
-            let mut eq_m = [0u64; 64];
-            for (l, &e) in exps[..g].iter().enumerate() {
-                eq_m[e as usize] |= 1u64 << l;
-            }
             let mut hi_m = [0u64; 64];
             let mut lo_m = [0u64; 64];
             let mut run = 0u64;

@@ -73,6 +73,10 @@ pub struct VoterScratch<T> {
     /// (borrow, complement carry, the three threshold ORs and the
     /// nonzero-correction mask).
     pub(crate) group_chain: Vec<u64>,
+    /// Batched bit-sliced kernel: the cut-off walk's per-lane bit-sliced
+    /// counter, one plane per bit of the way's pairing count, for ways of
+    /// more than 127 pairings (shorter ways keep it in registers).
+    pub(crate) group_count: Vec<u64>,
     /// Per-lane row loop: a block of a band's lanes, gathered series-major.
     pub(crate) lanes: Vec<T>,
     /// Voter matrices built through this scratch since the last reset.
@@ -97,6 +101,7 @@ impl<T> VoterScratch<T> {
             acc_one_bits: Vec::new(),
             group_corr: Vec::new(),
             group_chain: Vec::new(),
+            group_count: Vec::new(),
             lanes: Vec::new(),
             voter_builds: 0,
             window_derivations: 0,

@@ -117,20 +117,122 @@ fn exhaustive_grid_over_upsilon_lambda_dtype_length() {
     run_exhaustive_grid();
 }
 
-/// The same grid once per SIMD dispatch tier this machine supports, so the
-/// portable fallback and the feature-specialized builds are all proven
-/// bit-identical to the scalar oracle. Serialized against itself via the
-/// tier override being process-global; other tests in this binary are
+/// Serializes the tests that force a dispatch tier: the override is
+/// process-global, so two of them running at once would each run part of
+/// their grid on the other's tier. Other tests in this binary are
 /// tier-independent (all tiers produce identical bits), so concurrency
 /// with them is harmless.
+static TIER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The same grid once per SIMD dispatch tier this machine supports, so the
+/// portable fallback and the feature-specialized builds are all proven
+/// bit-identical to the scalar oracle.
 #[test]
 fn exhaustive_grid_on_every_dispatch_tier() {
+    let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for tier in detected_tiers() {
         assert!(
             preflight_core::bitslice::force_dispatch_tier(Some(tier)),
             "detected tier {tier} must be forceable"
         );
         run_exhaustive_grid();
+    }
+    preflight_core::bitslice::force_dispatch_tier(None);
+}
+
+/// A frame-major stack whose lanes span every cut-off exponent: lane `l`
+/// carries `l·7 + seed` mod `T::BITS − 1` noise bits (so some lanes are
+/// constant and some are noisy up to the second-highest bit), and `dense`
+/// adds a flip of any bit, the MSB included, to a fifth of the samples.
+fn make_group_stack<T: BitPixel>(
+    width: usize,
+    height: usize,
+    frames: usize,
+    seed: u64,
+    dense: bool,
+) -> ImageStack<T> {
+    let mut st: ImageStack<T> = ImageStack::new(width, height, frames);
+    let lanes = width * height;
+    let mut state = seed | 1;
+    for (k, v) in st.as_mut_slice().iter_mut().enumerate() {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        let nb = (k % lanes) as u64 * 7 + seed;
+        let noise = (state >> 11) & ((1u64 << (nb % u64::from(T::BITS - 1))) - 1);
+        let mut x = (1u64 << (T::BITS - 2)) + noise;
+        if dense && (state >> 3).is_multiple_of(5) {
+            x ^= 1 << ((state >> 40) % u64::from(T::BITS));
+        }
+        *v = T::from_u64(x);
+    }
+    st
+}
+
+/// One grid dtype: every Υ and series length of the group-kernel grid,
+/// with Λ, lane count, pass/GRT/window configuration and flip density
+/// rotated across the cases so each value meets every Υ and length.
+fn run_group_grid_for<T: BitPixel>(dtype: &str) {
+    const LAMBDAS: [u32; 4] = [0, 40, 80, 100];
+    // (width, height): one full 64-lane group; a full group plus a
+    // partial one; a lone partial group.
+    const SHAPES: [(usize, usize); 3] = [(16, 4), (25, 4), (7, 3)];
+    let mut case = 0usize;
+    for (ui, upsilon) in [2usize, 4, 8, 16].into_iter().enumerate() {
+        let upsilon = Upsilon::new(upsilon).unwrap();
+        let lens = [upsilon.min_series_len(), 16, 17, 65, 130];
+        for (fi, frames) in lens.into_iter().enumerate() {
+            for variant in 0..8 {
+                case += 1;
+                let lambda = LAMBDAS[(variant + variant / 4 + fi) % LAMBDAS.len()];
+                let (width, height) = SHAPES[case % SHAPES.len()];
+                let cfg = NgstConfig {
+                    use_grt: variant % 4 != 1,
+                    passes: if variant % 4 == 2 { 3 } else { 1 },
+                    static_windows: (variant % 4 == 3).then_some((2, 2)),
+                    ..NgstConfig::default()
+                };
+                let algo = AlgoNgst::with_config(upsilon, Sensitivity::new(lambda).unwrap(), cfg);
+                let dense = (variant / 4 + fi + ui).is_multiple_of(2);
+                let st: ImageStack<T> =
+                    make_group_stack(width, height, frames, case as u64 * 0x9E37, dense);
+                let mut scalar = st.clone();
+                let want = Preprocessor::new(&algo)
+                    .kernel(Kernel::Scalar)
+                    .run(&mut scalar);
+                let mut out = st;
+                let got = Preprocessor::new(&algo)
+                    .kernel(Kernel::Bitsliced)
+                    .run(&mut out);
+                let label = format!(
+                    "{dtype} Υ={upsilon:?} Λ={lambda} frames={frames} lanes={} cfg={cfg:?} dense={dense}",
+                    width * height
+                );
+                assert_eq!(got, want, "changed counts diverge: {label}");
+                assert!(out == scalar, "outputs diverge: {label}");
+            }
+        }
+    }
+}
+
+/// The 64-lane group kernel (`Preprocessor::run`'s band driver, the path
+/// every stack takes) against the scalar oracle, once per dispatch tier:
+/// Υ ∈ {2, 4, 8, 16}; Λ ∈ {0, 40, 80, 100}; u8, u16, u32; frame counts
+/// `min_series_len`, 16, 17, 65 and 130 (whose ways of more than 127
+/// pairings take the widest cut-off counter); full and partial groups; 1
+/// and 3 passes, GRT on and off, a static window; no flips and dense
+/// flips.
+#[test]
+fn group_kernel_grid_on_every_dispatch_tier() {
+    let _tier = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for tier in detected_tiers() {
+        assert!(
+            preflight_core::bitslice::force_dispatch_tier(Some(tier)),
+            "detected tier {tier} must be forceable"
+        );
+        run_group_grid_for::<u8>("u8");
+        run_group_grid_for::<u16>("u16");
+        run_group_grid_for::<u32>("u32");
     }
     preflight_core::bitslice::force_dispatch_tier(None);
 }

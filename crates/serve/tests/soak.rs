@@ -235,8 +235,30 @@ fn over_cap_connection_gets_busy_not_a_silent_close() {
     let cap = soak_conns();
     let daemon = Daemon::spawn(&["--max-conns", &cap.to_string()]);
 
-    let herd = open_idle_herd(daemon.addr, cap);
-    assert_eq!(herd.len(), cap);
+    // `connect` returns once the kernel queues the connection, not once a
+    // shard accepts it, and each reuseport shard accepts from its own
+    // queue. So hold `cap − 1` idle sockets plus one stats client, and
+    // wait until the daemon reports all `cap` open before probing: only
+    // then is the next connection the over-cap one.
+    let herd = open_idle_herd(daemon.addr, cap - 1);
+    assert_eq!(herd.len(), cap - 1);
+    let mut probe = daemon.client();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let open = probe
+            .stats()
+            .expect("stats over the wire")
+            .gauge("serve_open_connections", None)
+            .expect("open-connection gauge is exported");
+        if open == cap as i64 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon reports {open} open connections, never the cap {cap}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     // One more: the daemon must answer Busy carrying the cap, then close —
     // never close silently.
@@ -254,6 +276,7 @@ fn over_cap_connection_gets_busy_not_a_silent_close() {
 
     // Release the herd and confirm the daemon counted the rejection.
     drop(herd);
+    drop(probe);
     let deadline = Instant::now() + Duration::from_secs(30);
     let rejected = loop {
         if let Ok(mut client) = ClientBuilder::new()
