@@ -15,10 +15,11 @@
 //! `perf`, `serve` and `route` are the odd ones out: instead of an
 //! error-rate figure they time the system. `perf` sweeps the preprocessing
 //! drivers (naive / band, per thread count) into `BENCH_preprocess.json`;
-//! `serve` load-tests an in-process `preflightd` daemon (concurrent
-//! clients over loopback TCP) into `BENCH_serve.json`; `route` load-tests
-//! an in-process `preflight-router` fleet (N `preflightd` backends behind
-//! the front end) into `BENCH_router.json`.
+//! `serve` runs the benchmark's `direct`, `bulk` and `readout` workloads
+//! (`python3 perfbench/run.py`, from the repository root) over 5 seeds and
+//! sweeps open connections on a `preflightd` into `BENCH_serve.json`;
+//! `route` load-tests an in-process `preflight-router` fleet (N
+//! `preflightd` backends behind the front end) into `BENCH_router.json`.
 //! flags:
 //!   --paper     paper-depth averaging (slower; default is a medium scale)
 //!   --quick     smoke-test scale
@@ -142,39 +143,38 @@ fn run_perf(quick: bool) {
     eprintln!("throughput sweep written to {path}");
 }
 
-/// `serve`: load-test a `preflightd` at the operating point, sweep the
-/// active-throughput and open-connection axes, and persist everything
-/// into one document.
+/// `serve`: run `perfbench`'s workloads (5 seeds at `run_seconds`, or one
+/// 2 s seed under `--quick`), sweep open connections, and persist both
+/// into one document. A failed run writes nothing and exits 1.
 fn run_serve(quick: bool) {
     use preflight_bench::serve::{
-        active_sweep, bench_json, conn_sweep, serve_loadgen, ActiveSweepConfig, ConnSweepConfig,
-        ServeConfig,
+        bench_json, conn_sweep, rows_table, serve_bench, ConnSweepConfig, RUN_SECONDS, SEEDS,
     };
-    let (config, active_config, sweep_config) = if quick {
-        (
-            ServeConfig::quick(),
-            ActiveSweepConfig::quick(),
-            ConnSweepConfig::quick(),
-        )
+    let (seeds, seconds, sweep_config) = if quick {
+        (1, 2.0, ConnSweepConfig::quick())
     } else {
-        (
-            ServeConfig::standard(),
-            ActiveSweepConfig::standard(),
-            ConnSweepConfig::standard(),
-        )
+        (SEEDS, RUN_SECONDS, ConnSweepConfig::standard())
     };
-    let report = serve_loadgen(&config);
-    print!("{}", report.to_table());
-    let active = active_sweep(&active_config);
-    print!("{}", active.to_table());
+    let rows = match serve_bench(seeds, seconds) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("serve: {e}");
+            std::process::exit(1);
+        }
+    };
+    print!("{}", rows_table(&rows));
     let sweep = conn_sweep(&sweep_config);
-    print!("{}", sweep.to_table());
+    println!(
+        "open-connection sweep ({}):\n{}",
+        sweep.daemon,
+        sweep.json_rows()
+    );
     let path = "BENCH_serve.json";
-    if let Err(e) = std::fs::write(path, bench_json(&report, &active, &sweep)) {
+    if let Err(e) = std::fs::write(path, bench_json(&rows, seconds, &sweep)) {
         eprintln!("failed to write {path}: {e}");
         std::process::exit(1);
     }
-    eprintln!("serving loadgen written to {path}");
+    eprintln!("serving benchmark written to {path}");
 }
 
 /// `route`: load-test an in-process router-fronted fleet and persist the

@@ -558,7 +558,8 @@ pub fn ablation_passes(scale: Scale) -> Figure {
 /// **§2.1 design estimate** — distributed scaling of the master/slave
 /// pipeline: wall time and speedup as workers grow toward the flight
 /// estimate of 16 COTS processors, with the preprocessing stage enabled
-/// (the work the "slack CPU time" absorbs).
+/// (the work the "slack CPU time" absorbs). Each wall time is the median
+/// of 5 runs, reported with its interquartile range.
 pub fn scaling(scale: Scale) -> Figure {
     use preflight_ngst::{NgstPipeline, PipelineConfig, TransitFault};
 
@@ -570,6 +571,7 @@ pub fn scaling(scale: Scale) -> Figure {
     let stack = model.stack(edge, edge, &mut seeded_rng(0x5CA1E));
     let workers: Vec<f64> = vec![1.0, 2.0, 4.0, 8.0, 16.0];
     let mut elapsed_ms = Vec::new();
+    let mut iqr_ms = Vec::new();
     for &w in &workers {
         let pipeline = NgstPipeline::new(PipelineConfig {
             workers: w as usize,
@@ -580,14 +582,15 @@ pub fn scaling(scale: Scale) -> Figure {
             ..PipelineConfig::default()
         })
         .expect("valid pipeline config");
-        // Best of three runs to damp scheduler noise.
-        let best = (0..3)
+        let mut runs: Vec<f64> = (0..5)
             .map(|_| {
                 let rep = pipeline.run(&stack).expect("pipeline run");
                 rep.elapsed.as_secs_f64() * 1e3
             })
-            .fold(f64::INFINITY, f64::min);
-        elapsed_ms.push(best);
+            .collect();
+        let (median, iqr) = crate::perf::median_iqr(&mut runs);
+        elapsed_ms.push(median);
+        iqr_ms.push(iqr);
     }
     let speedup: Vec<f64> = elapsed_ms.iter().map(|&t| elapsed_ms[0] / t).collect();
     Figure {
@@ -598,6 +601,7 @@ pub fn scaling(scale: Scale) -> Figure {
         xs: workers,
         series: vec![
             Series::from_means("wall time (ms)", elapsed_ms),
+            Series::from_means("wall time IQR (ms)", iqr_ms),
             Series::from_means("speedup", speedup),
         ],
     }

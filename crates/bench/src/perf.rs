@@ -254,6 +254,16 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
 }
 
+/// The median and interquartile range of non-empty `values` (sorted in
+/// place).
+pub(crate) fn median_iqr(values: &mut [f64]) -> (f64, f64) {
+    values.sort_by(f64::total_cmp);
+    (
+        quantile(values, 0.5),
+        quantile(values, 0.75) - quantile(values, 0.25),
+    )
+}
+
 /// Times `reps` runs of `pass`, each on a fresh clone of `input`; returns
 /// their median and interquartile range plus the last run's output.
 fn timed_reps<T: BitPixel>(
@@ -271,12 +281,8 @@ fn timed_reps<T: BitPixel>(
         secs.push(start.elapsed().as_secs_f64());
         output = work;
     }
-    secs.sort_by(f64::total_cmp);
-    let timing = Timing {
-        median: quantile(&secs, 0.5),
-        iqr: quantile(&secs, 0.75) - quantile(&secs, 0.25),
-    };
-    (timing, output, changed)
+    let (median, iqr) = median_iqr(&mut secs);
+    (Timing { median, iqr }, output, changed)
 }
 
 fn run_pixel_width<T: BitPixel>(

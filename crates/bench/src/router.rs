@@ -113,9 +113,13 @@ pub struct RouteReport {
     pub kernel: &'static str,
     /// Resolved SIMD dispatch tier for bit-sliced engines, `-` otherwise.
     pub dispatch_tier: &'static str,
+    /// Hardware threads this process may use, so rows taken on a small
+    /// host are read as such.
+    pub available_threads: usize,
 }
 
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
+/// The nearest-rank `q` quantile of ascending `sorted_ms`, 0 when empty.
+pub(crate) fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     if sorted_ms.is_empty() {
         return 0.0;
     }
@@ -240,6 +244,7 @@ pub fn route_loadgen(config: &RouteConfig) -> RouteReport {
         divergences,
         kernel: kernel_label(engine_kernel),
         dispatch_tier: tier_label(engine_kernel),
+        available_threads: preflight_core::available_threads(),
     }
 }
 
@@ -332,7 +337,8 @@ impl RouteReport {
         let _ = writeln!(out, "  \"replicated\": {},", self.replicated);
         let _ = writeln!(out, "  \"divergences\": {},", self.divergences);
         let _ = writeln!(out, "  \"kernel\": \"{}\",", self.kernel);
-        let _ = writeln!(out, "  \"dispatch_tier\": \"{}\"", self.dispatch_tier);
+        let _ = writeln!(out, "  \"dispatch_tier\": \"{}\",", self.dispatch_tier);
+        let _ = writeln!(out, "  \"available_threads\": {}", self.available_threads);
         out.push_str("}\n");
         out
     }
@@ -380,6 +386,10 @@ mod tests {
         assert!(json.contains(&format!(
             "\"dispatch_tier\": \"{}\"",
             preflight_core::dispatch_tier().name()
+        )));
+        assert!(json.contains(&format!(
+            "\"available_threads\": {}",
+            preflight_core::available_threads()
         )));
         let count = |c| json.matches(c).count();
         assert_eq!(count('{'), count('}'));

@@ -1,290 +1,307 @@
-//! Load generator for the `preflightd` serving daemon (`repro serve`).
+//! `repro serve`: the committed serving benchmark, `BENCH_serve.json`.
 //!
-//! Starts an in-process daemon on a loopback TCP socket, fans out N
-//! concurrent client connections each submitting M frame stacks, and
-//! reports request latency (p50/p99) and end-to-end throughput in Mpix/s.
-//! `Busy` rejections from the bounded queue are retried (and counted), so
-//! the run also measures how the daemon behaves at and beyond capacity.
-//! The scriptable output lands in `BENCH_serve.json`.
+//! The measured traffic is the benchmark's own. For each workload of
+//! `BENCHMARK.json` and each seed, [`serve_bench`] runs
+//! `python3 perfbench/run.py` plainly (the end-to-end metrics) and then
+//! traced (the per-layer metrics), and folds the seeds into one row of
+//! medians and interquartile ranges. A run that exits non-zero,
+//! is not `correct` or reports a failed operation is an error, never a
+//! row. The document also carries the open-connection sweep
+//! ([`conn_sweep`]), an axis `perfbench` does not measure.
 
-use crate::perf::{kernel_label, sample_u16, synthetic_stack, tier_label};
-use preflight_serve::server::ServerConfig;
+use crate::perf::{median_iqr, sample_u16, synthetic_stack};
+use crate::router::percentile;
 use preflight_serve::wire::FramePayload;
 use preflight_serve::{ClientBuilder, ClientError, ServerBuilder, SubmitOptions};
 use std::fmt::Write as _;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Workload shape for one serving benchmark run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeConfig {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Stacks each client submits.
-    pub requests_per_client: usize,
-    /// Frame width in pixels.
-    pub width: usize,
-    /// Frame height in pixels.
-    pub height: usize,
-    /// Temporal frames per request.
-    pub frames: usize,
-    /// Daemon queue capacity (in-flight requests before `Busy`).
-    pub capacity: usize,
+/// The workloads of `BENCHMARK.json`, in its order.
+const WORKLOADS: [&str; 3] = ["direct", "bulk", "readout"];
+
+/// Length of each measured window, s: `BENCHMARK.json`'s `run_seconds`.
+pub const RUN_SECONDS: f64 = 20.0;
+
+/// Seeds per workload; each seed runs once plain and once traced.
+pub const SEEDS: u64 = 5;
+
+/// One metric as a `perfbench` run printed it.
+#[derive(Debug)]
+struct Metric {
+    /// Metric name, as in `BENCHMARK.json`.
+    name: String,
+    /// Measured value.
+    value: f64,
+    /// Unit `perfbench` gave it.
+    unit: String,
 }
 
-impl ServeConfig {
-    /// The standard load: 8 clients × 16 requests of 32×32×8 frames
-    /// against a 16-slot queue — enough contention to exercise batching
-    /// and occasional backpressure.
-    pub fn standard() -> Self {
-        ServeConfig {
-            clients: 8,
-            requests_per_client: 16,
-            width: 32,
-            height: 32,
-            frames: 8,
-            capacity: 16,
-        }
+/// One `perfbench` invocation that passed: correct, nothing failed.
+#[derive(Debug)]
+struct Run {
+    /// Seed its inputs came from.
+    seed: u64,
+    /// Whether it was a traced (per-layer) run.
+    trace: bool,
+    /// Its `provenance` JSON object, verbatim.
+    provenance: String,
+    /// Its `correct` verdict.
+    correct: bool,
+    /// Operations it started in the reported window.
+    attempted: u64,
+    /// Operations among them that failed.
+    failed: u64,
+    /// Its metrics, in the order printed.
+    metrics: Vec<Metric>,
+}
+
+/// A cursor over `perfbench`'s result line.
+struct Scan<'a>(&'a str);
+
+impl<'a> Scan<'a> {
+    fn lit(&mut self, lit: &str) -> Result<(), String> {
+        self.0 = self
+            .0
+            .strip_prefix(lit)
+            .ok_or_else(|| format!("expected {lit:?} at {:?}", self.0))?;
+        Ok(())
     }
 
-    /// A sub-second smoke workload for CI.
-    pub fn quick() -> Self {
-        ServeConfig {
-            clients: 2,
-            requests_per_client: 4,
-            width: 16,
-            height: 16,
-            frames: 4,
-            capacity: 8,
-        }
+    /// A bare value, up to the next `,` or `}`.
+    fn token(&mut self) -> &'a str {
+        let (token, rest) = self
+            .0
+            .split_at(self.0.find([',', '}']).unwrap_or(self.0.len()));
+        self.0 = rest;
+        token
     }
 
-    /// Samples served per request.
-    pub fn samples_per_request(&self) -> usize {
-        self.width * self.height * self.frames
+    fn number<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        let token = self.token();
+        token.parse().map_err(|_| format!("bad number {token:?}"))
     }
 
-    /// Total requests across all clients.
-    pub fn total_requests(&self) -> usize {
-        self.clients * self.requests_per_client
+    /// A quoted string; `perfbench` prints none with escapes.
+    fn string(&mut self) -> Result<&'a str, String> {
+        self.lit("\"")?;
+        let (s, rest) = self.0.split_once('"').ok_or("unterminated string")?;
+        self.0 = rest;
+        Ok(s)
     }
 }
 
-/// Results of one serving benchmark run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// The workload that ran.
-    pub config: ServeConfig,
-    /// Wall time for the whole run, in seconds.
-    pub wall_secs: f64,
-    /// Median request latency (submit → response), milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
-    /// Mean request latency, milliseconds.
-    pub mean_ms: f64,
-    /// Million samples served per second of wall time.
-    pub mpix_per_s: f64,
-    /// `Busy` rejections absorbed by client retry.
-    pub busy_retries: u64,
-    /// Batches the engine dispatched (from the daemon's counters).
-    pub batches: u64,
-    /// Batches that needed the degradation ladder.
-    pub degraded_batches: u64,
-    /// Voter kernel the daemon's engine ran (`scalar` or `bitsliced`),
-    /// matching the `BENCH_preprocess.json` row schema.
-    pub kernel: &'static str,
-    /// Resolved SIMD dispatch tier for bit-sliced engines, `-` otherwise.
-    pub dispatch_tier: &'static str,
-    /// Wire CRC implementation the daemon and clients ran
-    /// ([`preflight_serve::crc::backend`]).
-    pub crc: &'static str,
-    /// Hardware threads this process may use, so rows taken on a small
-    /// host are read as such.
-    pub available_threads: usize,
-}
-
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() - 1) as f64 * q).round() as usize;
-    sorted_ms[idx]
-}
-
-/// Runs the load generator against a fresh in-process daemon.
+/// Parses the standard output of one `perfbench` run: its
+/// `provenance {…}` line and its last line, whose format
+/// `Report::to_json` in `perfbench/src/lib.rs` fixes.
 ///
-/// # Panics
-/// Panics if the daemon cannot start or a client loses its connection —
-/// both are harness failures, not measurements.
-pub fn serve_loadgen(config: &ServeConfig) -> ServeReport {
-    let engine_kernel = ServerConfig::default().engine.kernel;
-    let handle = ServerBuilder::new()
-        .bind("127.0.0.1:0")
-        .queue_depth(config.capacity)
-        .serve()
-        .expect("daemon start");
-    let addr = handle.tcp_addr().expect("bound address");
-
-    let started = Instant::now();
-    let mut workers = Vec::new();
-    for c in 0..config.clients {
-        let config = config.clone();
-        workers.push(std::thread::spawn(move || {
-            let mut client = ClientBuilder::new()
-                .tcp(addr)
-                .connect()
-                .expect("client connect");
-            let mut latencies_ms = Vec::with_capacity(config.requests_per_client);
-            let mut busy: u64 = 0;
-            for r in 0..config.requests_per_client {
-                let seed = 0x5EED ^ ((c as u64) << 32) ^ r as u64;
-                let stack =
-                    synthetic_stack(config.width, config.height, config.frames, seed, sample_u16);
-                let opts = SubmitOptions {
-                    stream_id: c as u64,
-                    eos: true,
-                    ..SubmitOptions::default()
-                };
-                let begin = Instant::now();
-                loop {
-                    match client.submit(FramePayload::U16(stack.clone()), &opts) {
-                        Ok(response) => {
-                            assert_eq!(
-                                response.payload.frames(),
-                                config.frames,
-                                "daemon must answer with the submitted depth"
-                            );
-                            break;
-                        }
-                        Err(ClientError::Busy(_)) => {
-                            busy += 1;
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(e) => panic!("client {c} request {r} failed: {e}"),
-                    }
-                }
-                latencies_ms.push(begin.elapsed().as_secs_f64() * 1e3);
-            }
-            (latencies_ms, busy)
-        }));
+/// # Errors
+/// A missing provenance line, a malformed or non-finite result, a
+/// `"correct": false` or a failed operation.
+fn parse_run(stdout: &str, seed: u64, trace: bool) -> Result<Run, String> {
+    let provenance = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("provenance "))
+        .filter(|p| p.starts_with('{') && p.ends_with('}'))
+        .ok_or("no `provenance {…}` line")?
+        .to_owned();
+    let mut s = Scan(stdout.lines().last().unwrap_or_default().trim());
+    s.lit("{\"correct\": ")?;
+    let correct = match s.token() {
+        "true" => true,
+        "false" => false,
+        other => return Err(format!("bad `correct` value {other:?}")),
+    };
+    s.lit(", \"attempted\": ")?;
+    let attempted = s.number()?;
+    s.lit(", \"failed\": ")?;
+    let failed = s.number()?;
+    s.lit(", \"metrics\": {")?;
+    let mut metrics = Vec::new();
+    while !s.0.starts_with('}') {
+        if !metrics.is_empty() {
+            s.lit(", ")?;
+        }
+        let name = s.string()?.to_owned();
+        s.lit(": {\"value\": ")?;
+        let value: f64 = s.number()?;
+        s.lit(", \"unit\": ")?;
+        let unit = s.string()?.to_owned();
+        s.lit("}")?;
+        if !value.is_finite() {
+            return Err(format!("metric {name} is not finite: {value}"));
+        }
+        metrics.push(Metric { name, value, unit });
     }
-
-    let mut latencies_ms = Vec::with_capacity(config.total_requests());
-    let mut busy_retries = 0;
-    for w in workers {
-        let (lat, busy) = w.join().expect("client thread");
-        latencies_ms.extend(lat);
-        busy_retries += busy;
+    s.lit("}}")?;
+    if !s.0.is_empty() {
+        return Err(format!("trailing {:?} after the result", s.0));
     }
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    let stats = handle.stats();
-    let batches = stats.batches.get();
-    let degraded_batches = stats.degraded_batches.get();
-    handle.drain();
-
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let mean_ms = latencies_ms.iter().sum::<f64>() / latencies_ms.len().max(1) as f64;
-    let total_samples = (config.total_requests() * config.samples_per_request()) as f64;
-    ServeReport {
-        config: config.clone(),
-        wall_secs,
-        p50_ms: percentile(&latencies_ms, 0.50),
-        p99_ms: percentile(&latencies_ms, 0.99),
-        mean_ms,
-        mpix_per_s: total_samples / wall_secs / 1e6,
-        busy_retries,
-        batches,
-        degraded_batches,
-        kernel: kernel_label(engine_kernel),
-        dispatch_tier: tier_label(engine_kernel),
-        crc: preflight_serve::crc::backend(),
-        available_threads: preflight_core::available_threads(),
+    if !correct || failed > 0 {
+        return Err(format!(
+            "not correct: {failed} of {attempted} operation(s) failed"
+        ));
     }
+    Ok(Run {
+        seed,
+        trace,
+        provenance,
+        correct,
+        attempted,
+        failed,
+        metrics,
+    })
 }
 
-impl ServeReport {
-    /// Aligned text table for the terminal.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "serving throughput, {} client(s) x {} request(s) of {}x{}x{} frames, \
-             queue capacity {}",
-            self.config.clients,
-            self.config.requests_per_client,
-            self.config.width,
-            self.config.height,
-            self.config.frames,
-            self.config.capacity
-        );
-        let _ = writeln!(
-            out,
-            "{:>10} {:>9} {:>12} {:>10} {:>10} {:>10} {:>10} {:>8} {:>9} {:>9}",
-            "kernel",
-            "tier",
-            "wall_s",
-            "p50_ms",
-            "p99_ms",
-            "mean_ms",
-            "Mpix/s",
-            "busy",
-            "batches",
-            "degraded"
-        );
-        let _ = writeln!(
-            out,
-            "{:>10} {:>9} {:>12.4} {:>10.3} {:>10.3} {:>10.3} {:>10.2} {:>8} {:>9} {:>9}",
-            self.kernel,
-            self.dispatch_tier,
-            self.wall_secs,
-            self.p50_ms,
-            self.p99_ms,
-            self.mean_ms,
-            self.mpix_per_s,
-            self.busy_retries,
-            self.batches,
-            self.degraded_batches
-        );
-        out
+/// Runs `python3 perfbench/run.py` once from the current directory (the
+/// repository root) and parses what it printed. Build output and
+/// `perfbench`'s own errors pass through on standard error.
+///
+/// # Errors
+/// The run could not start, exited non-zero or failed [`parse_run`].
+fn run_perfbench(workload: &str, seed: u64, seconds: f64, trace: bool) -> Result<Run, String> {
+    let args = [
+        "--workload".to_owned(),
+        workload.to_owned(),
+        "--seed".to_owned(),
+        seed.to_string(),
+        "--seconds".to_owned(),
+        seconds.to_string(),
+        "--trace".to_owned(),
+        u8::from(trace).to_string(),
+    ];
+    let what = format!("perfbench {}", args.join(" "));
+    eprintln!("running {what}");
+    let out = Command::new("python3")
+        .arg("perfbench/run.py")
+        .args(&args)
+        .stderr(Stdio::inherit())
+        .output()
+        .map_err(|e| format!("cannot start python3 perfbench/run.py: {e}"))?;
+    if !out.status.success() {
+        return Err(format!("{what}: exited with {}", out.status));
     }
+    parse_run(&String::from_utf8_lossy(&out.stdout), seed, trace)
+        .map_err(|e| format!("{what}: {e}"))
+}
 
-    /// Hand-formatted JSON document (the repo carries no JSON dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"benchmark\": \"serve_throughput\",");
-        let _ = writeln!(
-            out,
-            "  \"workload\": {{\"clients\": {}, \"requests_per_client\": {}, \
-             \"width\": {}, \"height\": {}, \"frames\": {}, \"capacity\": {}}},",
-            self.config.clients,
-            self.config.requests_per_client,
-            self.config.width,
-            self.config.height,
-            self.config.frames,
-            self.config.capacity
-        );
-        let _ = writeln!(
-            out,
-            "  \"total_requests\": {},",
-            self.config.total_requests()
-        );
-        let _ = writeln!(out, "  \"wall_secs\": {:.6},", self.wall_secs);
-        let _ = writeln!(out, "  \"p50_ms\": {:.3},", self.p50_ms);
-        let _ = writeln!(out, "  \"p99_ms\": {:.3},", self.p99_ms);
-        let _ = writeln!(out, "  \"mean_ms\": {:.3},", self.mean_ms);
-        let _ = writeln!(out, "  \"mpix_per_s\": {:.3},", self.mpix_per_s);
-        let _ = writeln!(out, "  \"busy_retries\": {},", self.busy_retries);
-        let _ = writeln!(out, "  \"batches\": {},", self.batches);
-        let _ = writeln!(out, "  \"degraded_batches\": {},", self.degraded_batches);
-        let _ = writeln!(out, "  \"kernel\": \"{}\",", self.kernel);
-        let _ = writeln!(out, "  \"dispatch_tier\": \"{}\",", self.dispatch_tier);
-        let _ = writeln!(out, "  \"crc\": \"{}\",", self.crc);
-        let _ = writeln!(out, "  \"available_threads\": {}", self.available_threads);
-        out.push_str("}\n");
-        out
+/// One metric of a workload over its seeds.
+#[derive(Debug)]
+struct Stat {
+    /// Metric name, as in `BENCHMARK.json`.
+    name: String,
+    /// Unit `perfbench` gave it.
+    unit: String,
+    /// Whether the traced runs reported it.
+    trace: bool,
+    /// Median over the seeds.
+    median: f64,
+    /// Interquartile range over the seeds.
+    iqr: f64,
+}
+
+/// One workload's row of `BENCH_serve.json`.
+#[derive(Debug)]
+pub struct WorkloadRow {
+    /// Workload name.
+    workload: String,
+    /// Every run, plain and traced, in the order they ran.
+    runs: Vec<Run>,
+    /// Every metric the runs emitted, plain ones first.
+    stats: Vec<Stat>,
+}
+
+/// Folds one workload's runs into its row: each metric's median and IQR
+/// over the seeds, separately for the plain and the traced runs.
+///
+/// # Errors
+/// A mode with no run, or a metric that not every run of its mode
+/// emitted (with the same unit): a median over fewer seeds than the row
+/// claims would hide the gap.
+fn aggregate(workload: &str, runs: Vec<Run>) -> Result<WorkloadRow, String> {
+    let mut stats: Vec<Stat> = Vec::new();
+    for trace in [false, true] {
+        let mode = format!("{workload} --trace {}", u8::from(trace));
+        let group: Vec<&Run> = runs.iter().filter(|r| r.trace == trace).collect();
+        let first = group.first().ok_or_else(|| format!("{mode}: no run"))?;
+        if let Some(odd) = group
+            .iter()
+            .find(|r| r.metrics.len() != first.metrics.len())
+        {
+            return Err(format!(
+                "{mode}: seeds {} and {} differ",
+                first.seed, odd.seed
+            ));
+        }
+        for m in &first.metrics {
+            if stats.iter().any(|s| s.name == m.name) {
+                return Err(format!("{mode}: metric {} reported twice", m.name));
+            }
+            let mut values = group
+                .iter()
+                .map(|run| {
+                    run.metrics
+                        .iter()
+                        .find(|x| x.name == m.name && x.unit == m.unit)
+                        .map(|x| x.value)
+                        .ok_or_else(|| format!("{mode}: seed {} lacks {}", run.seed, m.name))
+                })
+                .collect::<Result<Vec<f64>, String>>()?;
+            let (median, iqr) = median_iqr(&mut values);
+            stats.push(Stat {
+                name: m.name.clone(),
+                unit: m.unit.clone(),
+                trace,
+                median,
+                iqr,
+            });
+        }
     }
+    Ok(WorkloadRow {
+        workload: workload.to_owned(),
+        runs,
+        stats,
+    })
+}
+
+/// Runs every workload for seeds `1..=seeds`, each seed plain then
+/// traced, and folds each workload into its row.
+///
+/// # Errors
+/// The first run or row that fails; nothing after it runs.
+pub fn serve_bench(seeds: u64, seconds: f64) -> Result<Vec<WorkloadRow>, String> {
+    WORKLOADS
+        .iter()
+        .map(|&workload| {
+            let mut runs = Vec::new();
+            for seed in 1..=seeds {
+                for trace in [false, true] {
+                    runs.push(run_perfbench(workload, seed, seconds, trace)?);
+                }
+            }
+            aggregate(workload, runs)
+        })
+        .collect()
+}
+
+/// Aligned text table of the rows: one line per workload and metric.
+pub fn rows_table(rows: &[WorkloadRow]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:>8} {:>28} {:>14} {:>14} {:>10}",
+        "workload", "metric", "median", "iqr", "unit"
+    );
+    for row in rows {
+        for s in &row.stats {
+            let _ = writeln!(
+                out,
+                "{:>8} {:>28} {:>14.4} {:>14.4} {:>10}",
+                row.workload, s.name, s.median, s.iqr, s.unit
+            );
+        }
+    }
+    out
 }
 
 /// Workload shape for the open-connection sweep: how does tail latency
@@ -308,8 +325,8 @@ pub struct ConnSweepConfig {
 }
 
 impl ConnSweepConfig {
-    /// The full sweep: 256 → 10 000 idle connections under the PR 3
-    /// operating load (matching [`ServeConfig::standard`] frame shape).
+    /// The full sweep: 256 → 10 000 idle connections under a light active
+    /// load of 32×32×8 stacks.
     pub fn standard() -> Self {
         ConnSweepConfig {
             open_levels: vec![256, 1024, 4096, 10_000],
@@ -371,119 +388,97 @@ pub struct ConnSweepReport {
 /// is reachable, an in-process server otherwise. The subprocess path is
 /// what lets a 10 000-connection level fit: each side of the socket pair
 /// charges a different process's fd limit.
-enum SweepDaemon {
-    Subprocess {
-        child: std::process::Child,
-        addr: std::net::SocketAddr,
-    },
-    InProcess {
-        handle: preflight_serve::server::ServerHandle,
-        addr: std::net::SocketAddr,
-    },
+struct SweepDaemon {
+    addr: std::net::SocketAddr,
+    kind: DaemonKind,
+}
+
+enum DaemonKind {
+    Subprocess(std::process::Child),
+    InProcess(preflight_serve::server::ServerHandle),
 }
 
 impl SweepDaemon {
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            SweepDaemon::Subprocess { addr, .. } | SweepDaemon::InProcess { addr, .. } => *addr,
-        }
-    }
-
     fn label(&self) -> &'static str {
-        match self {
-            SweepDaemon::Subprocess { .. } => "subprocess",
-            SweepDaemon::InProcess { .. } => "in-process",
+        match self.kind {
+            DaemonKind::Subprocess(_) => "subprocess",
+            DaemonKind::InProcess(_) => "in-process",
         }
     }
 
-    /// Drains over the wire (both variants honour it) and reaps the child.
+    /// Drains over the wire (both kinds honour it) and reaps the child,
+    /// killing it if it has not exited within 30 s.
     fn stop(self) {
-        let addr = self.addr();
-        if let Ok(mut client) = ClientBuilder::new()
-            .tcp(addr)
+        let _ = ClientBuilder::new()
+            .tcp(self.addr)
             .io_timeout(Duration::from_secs(30))
             .connect()
-        {
-            let _ = client.drain();
-        }
-        match self {
-            SweepDaemon::Subprocess { mut child, .. } => {
+            .map(|mut client| client.drain());
+        match self.kind {
+            DaemonKind::Subprocess(mut child) => {
                 let deadline = Instant::now() + Duration::from_secs(30);
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        _ => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                    }
+                while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(20));
                 }
+                let _ = child.kill();
+                let _ = child.wait();
             }
-            SweepDaemon::InProcess { handle, .. } => {
+            DaemonKind::InProcess(handle) => {
                 handle.drain();
             }
         }
     }
 }
 
-/// Locates a `preflightd` binary: `$PREFLIGHTD_BIN` wins, then siblings of
-/// the running executable (`target/<profile>/` and, for unit-test
-/// binaries, one directory above `deps/`).
+/// Locates a `preflightd` binary among the siblings of the running
+/// executable (`target/<profile>/` and, for unit-test binaries, one
+/// directory above `deps/`).
 fn find_preflightd() -> Option<std::path::PathBuf> {
-    if let Ok(explicit) = std::env::var("PREFLIGHTD_BIN") {
-        let path = std::path::PathBuf::from(explicit);
-        return path.is_file().then_some(path);
-    }
     let exe = std::env::current_exe().ok()?;
-    let mut dir = exe.parent()?;
-    for _ in 0..2 {
-        let candidate = dir.join("preflightd");
-        if candidate.is_file() {
-            return Some(candidate);
-        }
-        dir = dir.parent()?;
-    }
-    None
+    exe.ancestors()
+        .skip(1)
+        .take(2)
+        .map(|dir| dir.join("preflightd"))
+        .find(|candidate| candidate.is_file())
 }
 
 fn spawn_daemon(capacity: usize) -> SweepDaemon {
-    if let Some(bin) = find_preflightd() {
-        let mut child = std::process::Command::new(&bin)
-            .args(["--tcp", "127.0.0.1:0", "--capacity", &capacity.to_string()])
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn preflightd");
-        // The daemon announces its ephemeral port on stdout before serving.
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = std::io::BufRead::lines(std::io::BufReader::new(stdout));
-        let addr = loop {
-            let line = match lines.next() {
-                Some(Ok(line)) => line,
-                _ => {
-                    let _ = child.kill();
-                    panic!("preflightd exited before announcing its address");
-                }
-            };
-            if let Some(rest) = line.split("tcp://").nth(1) {
-                break rest.trim().parse().expect("announced address parses");
-            }
+    let Some(bin) = find_preflightd() else {
+        let handle = ServerBuilder::new()
+            .bind("127.0.0.1:0")
+            .queue_depth(capacity)
+            .serve()
+            .expect("in-process daemon start");
+        let addr = handle.tcp_addr().expect("bound address");
+        return SweepDaemon {
+            addr,
+            kind: DaemonKind::InProcess(handle),
         };
-        // Keep draining the pipe so the child never blocks on stdout.
-        std::thread::spawn(move || for _ in lines.map_while(Result::ok) {});
-        return SweepDaemon::Subprocess { child, addr };
+    };
+    let mut child = Command::new(&bin)
+        .args(["--tcp", "127.0.0.1:0", "--capacity", &capacity.to_string()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn preflightd");
+    // The daemon announces its ephemeral port on stdout before serving.
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut lines = std::io::BufRead::lines(std::io::BufReader::new(stdout));
+    let addr = loop {
+        let Some(Ok(line)) = lines.next() else {
+            let _ = child.kill();
+            panic!("preflightd exited before announcing its address");
+        };
+        if let Some(rest) = line.split("tcp://").nth(1) {
+            break rest.trim().parse().expect("announced address parses");
+        }
+    };
+    // Keep draining the pipe so the child never blocks on stdout.
+    std::thread::spawn(move || for _ in lines.map_while(Result::ok) {});
+    SweepDaemon {
+        addr,
+        kind: DaemonKind::Subprocess(child),
     }
-    let handle = ServerBuilder::new()
-        .bind("127.0.0.1:0")
-        .queue_depth(capacity)
-        .serve()
-        .expect("in-process daemon start");
-    let addr = handle.tcp_addr().expect("bound address");
-    SweepDaemon::InProcess { handle, addr }
 }
 
 /// Runs the open-connection sweep: per level, park N idle connections on
@@ -502,15 +497,10 @@ pub fn conn_sweep(config: &ConnSweepConfig) -> ConnSweepReport {
     for &level in &config.open_levels {
         let daemon = spawn_daemon(config.capacity);
         daemon_label = daemon.label();
-        let addr = daemon.addr();
-
-        let mut idle = Vec::with_capacity(level);
-        for _ in 0..level {
-            match std::net::TcpStream::connect(addr) {
-                Ok(stream) => idle.push(stream),
-                Err(_) => break,
-            }
-        }
+        let addr = daemon.addr;
+        let idle: Vec<_> = (0..level)
+            .map_while(|_| std::net::TcpStream::connect(addr).ok())
+            .collect();
         let open_held = idle.len();
 
         let mut workers = Vec::new();
@@ -594,363 +584,227 @@ pub fn conn_sweep(config: &ConnSweepConfig) -> ConnSweepReport {
 }
 
 impl ConnSweepReport {
-    /// Aligned text table for the terminal.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "open-connection sweep, {} active client(s) x {} request(s) of {}x{}x{} frames, \
-             queue capacity {}, daemon {}",
-            self.config.active_clients,
-            self.config.requests_per_client,
-            self.config.width,
-            self.config.height,
-            self.config.frames,
-            self.config.capacity,
-            self.daemon
-        );
-        let _ = writeln!(
-            out,
-            "{:>10} {:>10} {:>10} {:>10} {:>8} {:>10}",
-            "open", "held", "p50_ms", "p99_ms", "busy", "rejected"
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:>10} {:>10} {:>10.3} {:>10.3} {:>8} {:>10}",
-                row.open_target,
-                row.open_held,
-                row.p50_ms,
-                row.p99_ms,
-                row.busy_retries,
-                row.rejected_connections
-            );
-        }
-        out
-    }
-
-    /// The sweep as a hand-formatted JSON array (no JSON dependency).
-    fn json_rows(&self) -> String {
-        let mut out = String::new();
-        out.push_str("[\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"open_target\": {}, \"open_held\": {}, \"p50_ms\": {:.3}, \
-                 \"p99_ms\": {:.3}, \"busy_retries\": {}, \"rejected_connections\": {}}}",
-                row.open_target,
-                row.open_held,
-                row.p50_ms,
-                row.p99_ms,
-                row.busy_retries,
-                row.rejected_connections
-            );
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]");
-        out
+    /// The sweep as a hand-formatted JSON array (no JSON dependency), one
+    /// level per line.
+    pub fn json_rows(&self) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                format!(
+                    "    {{\"open_target\": {}, \"open_held\": {}, \"p50_ms\": {:.3}, \
+                     \"p99_ms\": {:.3}, \"busy_retries\": {}, \"rejected_connections\": {}}}",
+                    row.open_target,
+                    row.open_held,
+                    row.p50_ms,
+                    row.p99_ms,
+                    row.busy_retries,
+                    row.rejected_connections
+                )
+            })
+            .collect();
+        format!("[\n{}\n  ]", rows.join(",\n"))
     }
 }
 
-/// Workload shape for the active-throughput sweep: how much traffic does
-/// the data plane move as payload size, concurrency, and event-loop shard
-/// count vary? Each cell starts a fresh in-process daemon with that shard
-/// count (every other knob, the kernel included, at its default) and
-/// drives it to saturation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ActiveSweepConfig {
-    /// `(width, height, frames)` payload shapes to sweep.
-    pub payloads: Vec<(usize, usize, usize)>,
-    /// Concurrent client-connection counts to sweep.
-    pub client_levels: Vec<usize>,
-    /// Daemon event-loop shard counts to sweep (`preflightd --shards`).
-    pub shard_levels: Vec<usize>,
-    /// Stacks each client submits per cell.
-    pub requests_per_client: usize,
-    /// Daemon queue capacity (in-flight requests before `Busy`).
-    pub capacity: usize,
-}
-
-impl ActiveSweepConfig {
-    /// The full sweep: small and large stacks, single and fanned-out
-    /// clients, 1/2/4 shards — the grid behind the README's serving row.
-    pub fn standard() -> Self {
-        ActiveSweepConfig {
-            payloads: vec![(32, 32, 8), (128, 128, 8), (256, 256, 8)],
-            client_levels: vec![1, 8],
-            shard_levels: vec![1, 2, 4],
-            requests_per_client: 16,
-            capacity: 16,
-        }
-    }
-
-    /// A sub-second grid for CI.
-    pub fn quick() -> Self {
-        ActiveSweepConfig {
-            payloads: vec![(16, 16, 4)],
-            client_levels: vec![2],
-            shard_levels: vec![1, 2],
-            requests_per_client: 4,
-            capacity: 8,
-        }
-    }
-}
-
-/// One active-sweep cell: throughput and latency at a fixed payload shape,
-/// client count, and daemon shard count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActiveSweepRow {
-    /// Frame width in pixels.
-    pub width: usize,
-    /// Frame height in pixels.
-    pub height: usize,
-    /// Temporal frames per request.
-    pub frames: usize,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Daemon event-loop shards.
-    pub shards: usize,
-    /// Million samples served per second of wall time.
-    pub mpix_per_s: f64,
-    /// Median request latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
-    /// `Busy` rejections absorbed by client retry.
-    pub busy_retries: u64,
-}
-
-/// Results of one active-throughput sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActiveSweepReport {
-    /// The workload that ran.
-    pub config: ActiveSweepConfig,
-    /// One row per `(payload, clients, shards)` cell.
-    pub rows: Vec<ActiveSweepRow>,
-}
-
-/// Runs the active-throughput sweep: one fresh in-process daemon per cell
-/// (so the shard count takes effect), saturated by the cell's client herd.
-///
-/// # Panics
-/// Panics if a daemon cannot start or a client loses its connection —
-/// harness failures, not measurements.
-pub fn active_sweep(config: &ActiveSweepConfig) -> ActiveSweepReport {
-    let mut rows = Vec::new();
-    for &(width, height, frames) in &config.payloads {
-        for &clients in &config.client_levels {
-            for &shards in &config.shard_levels {
-                let handle = ServerBuilder::new()
-                    .bind("127.0.0.1:0")
-                    .queue_depth(config.capacity)
-                    .shards(shards)
-                    .serve()
-                    .expect("daemon start");
-                let addr = handle.tcp_addr().expect("bound address");
-
-                // Payloads are built before the clock starts: the sweep
-                // measures the serving data plane, not synthetic-noise
-                // generation.
-                let prebuilt: Vec<Vec<_>> = (0..clients)
-                    .map(|c| {
-                        (0..config.requests_per_client)
-                            .map(|r| {
-                                let seed = 0xAC71 ^ ((c as u64) << 32) ^ r as u64;
-                                synthetic_stack(width, height, frames, seed, sample_u16)
-                            })
-                            .collect()
-                    })
-                    .collect();
-
-                let started = Instant::now();
-                let mut workers = Vec::new();
-                for (c, stacks) in prebuilt.into_iter().enumerate() {
-                    let requests = config.requests_per_client;
-                    workers.push(std::thread::spawn(move || {
-                        let mut client = ClientBuilder::new()
-                            .tcp(addr)
-                            .connect()
-                            .expect("client connect");
-                        let mut latencies_ms = Vec::with_capacity(requests);
-                        let mut busy: u64 = 0;
-                        for (r, stack) in stacks.into_iter().enumerate() {
-                            let opts = SubmitOptions {
-                                stream_id: c as u64,
-                                eos: true,
-                                ..SubmitOptions::default()
-                            };
-                            let begin = Instant::now();
-                            loop {
-                                match client.submit(FramePayload::U16(stack.clone()), &opts) {
-                                    Ok(response) => {
-                                        assert_eq!(response.payload.frames(), frames);
-                                        break;
-                                    }
-                                    Err(ClientError::Busy(_)) => {
-                                        busy += 1;
-                                        std::thread::sleep(Duration::from_millis(1));
-                                    }
-                                    Err(e) => panic!("client {c} request {r} failed: {e}"),
-                                }
-                            }
-                            latencies_ms.push(begin.elapsed().as_secs_f64() * 1e3);
-                        }
-                        (latencies_ms, busy)
-                    }));
-                }
-
-                let mut latencies_ms = Vec::new();
-                let mut busy_retries = 0;
-                for w in workers {
-                    let (lat, busy) = w.join().expect("client thread");
-                    latencies_ms.extend(lat);
-                    busy_retries += busy;
-                }
-                let wall_secs = started.elapsed().as_secs_f64();
-                handle.drain();
-
-                latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-                let total_samples =
-                    (clients * config.requests_per_client * width * height * frames) as f64;
-                rows.push(ActiveSweepRow {
-                    width,
-                    height,
-                    frames,
-                    clients,
-                    shards,
-                    mpix_per_s: total_samples / wall_secs / 1e6,
-                    p50_ms: percentile(&latencies_ms, 0.50),
-                    p99_ms: percentile(&latencies_ms, 0.99),
-                    busy_retries,
-                });
-            }
-        }
-    }
-    ActiveSweepReport {
-        config: config.clone(),
-        rows,
-    }
-}
-
-impl ActiveSweepReport {
-    /// Aligned text table for the terminal.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "active-throughput sweep, {} request(s) per client, queue capacity {}, kernel {}",
-            self.config.requests_per_client,
-            self.config.capacity,
-            kernel_label(ServerConfig::default().engine.kernel)
-        );
-        let _ = writeln!(
-            out,
-            "{:>14} {:>8} {:>7} {:>10} {:>10} {:>10} {:>8}",
-            "payload", "clients", "shards", "Mpix/s", "p50_ms", "p99_ms", "busy"
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:>14} {:>8} {:>7} {:>10.2} {:>10.3} {:>10.3} {:>8}",
-                format!("{}x{}x{}", row.width, row.height, row.frames),
-                row.clients,
-                row.shards,
-                row.mpix_per_s,
-                row.p50_ms,
-                row.p99_ms,
-                row.busy_retries
-            );
-        }
-        out
-    }
-
-    /// The sweep as a hand-formatted JSON array (no JSON dependency).
-    fn json_rows(&self) -> String {
-        let mut out = String::new();
-        out.push_str("[\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"width\": {}, \"height\": {}, \"frames\": {}, \"clients\": {}, \
-                 \"shards\": {}, \"kernel\": \"{}\", \"mpix_per_s\": {:.3}, \
-                 \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"busy_retries\": {}}}",
-                row.width,
-                row.height,
-                row.frames,
-                row.clients,
-                row.shards,
-                kernel_label(ServerConfig::default().engine.kernel),
-                row.mpix_per_s,
-                row.p50_ms,
-                row.p99_ms,
-                row.busy_retries
-            );
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]");
-        out
-    }
-}
-
-/// The combined `BENCH_serve.json` document: the PR 3 operating-point
-/// loadgen, the active-throughput sweep, and the open-connection sweep.
-pub fn bench_json(
-    report: &ServeReport,
-    active: &ActiveSweepReport,
-    sweep: &ConnSweepReport,
-) -> String {
-    let base = report.to_json();
-    let trimmed = base
-        .strip_suffix("}\n")
-        .expect("loadgen json ends with a brace");
-    let mut out = trimmed.trim_end().to_owned();
-    out.push_str(",\n");
-    let _ = writeln!(
-        out,
-        "  \"active_throughput_sweep\": {},",
-        active.json_rows()
-    );
-    let _ = writeln!(out, "  \"open_connection_daemon\": \"{}\",", sweep.daemon);
-    let _ = writeln!(out, "  \"open_connection_sweep\": {}", sweep.json_rows());
-    out.push_str("}\n");
-    out
+/// The `BENCH_serve.json` document: one row per workload, run `seconds`
+/// per window, and the open-connection sweep.
+pub fn bench_json(rows: &[WorkloadRow], seconds: f64, sweep: &ConnSweepReport) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            let runs: Vec<String> = row
+                .runs
+                .iter()
+                .map(|run| {
+                    format!(
+                        "{{\"seed\": {}, \"trace\": {}, \"correct\": {}, \"attempted\": {}, \
+                         \"failed\": {}, \"provenance\": {}}}",
+                        run.seed,
+                        u8::from(run.trace),
+                        run.correct,
+                        run.attempted,
+                        run.failed,
+                        run.provenance
+                    )
+                })
+                .collect();
+            let stats: Vec<String> = row
+                .stats
+                .iter()
+                .map(|s| {
+                    format!(
+                        "\"{}\": {{\"median\": {}, \"iqr\": {}, \"unit\": \"{}\", \"trace\": {}}}",
+                        s.name,
+                        s.median,
+                        s.iqr,
+                        s.unit,
+                        u8::from(s.trace)
+                    )
+                })
+                .collect();
+            format!(
+                "    {{\"workload\": \"{}\",\n     \"runs\": [\n       {}\n     ],\n     \
+                 \"metrics\": {{\n       {}\n     }}}}",
+                row.workload,
+                runs.join(",\n       "),
+                stats.join(",\n       ")
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"benchmark\": \"serve\",\n  \"command\": \"python3 perfbench/run.py\",\n  \
+         \"seconds\": {seconds},\n  \"workloads\": [\n{}\n  ],\n  \
+         \"open_connection_daemon\": \"{}\",\n  \"open_connection_sweep\": {}\n}}\n",
+        rows.join(",\n"),
+        sweep.daemon,
+        sweep.json_rows()
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn quick_loadgen_completes_and_reports_sane_numbers() {
-        let report = serve_loadgen(&ServeConfig::quick());
-        assert!(report.wall_secs > 0.0);
-        assert!(report.mpix_per_s > 0.0);
-        assert!(report.p50_ms > 0.0);
-        assert!(report.p99_ms >= report.p50_ms);
-        assert!(report.batches >= 1);
-        assert_eq!(report.degraded_batches, 0, "healthy run must not degrade");
+    const PROVENANCE: &str = "{\"workload\":\"bulk\",\"nproc\":2,\
+                              \"config\":{\"available_threads\":2,\"dispatch_tier\":\"avx2\"}}";
+
+    /// What `perfbench` prints for one run.
+    fn stdout(correct: bool, failed: u64, metrics: &[(&str, f64)]) -> String {
+        let metrics: Vec<String> = metrics
+            .iter()
+            .map(|(name, v)| format!("\"{name}\": {{\"value\": {v}, \"unit\": \"ms\"}}"))
+            .collect();
+        format!(
+            "provenance {PROVENANCE}\nnote latency over 10 successful operations\n\
+             {{\"correct\": {correct}, \"attempted\": 10, \"failed\": {failed}, \
+             \"metrics\": {{{}}}}}\n",
+            metrics.join(", ")
+        )
+    }
+
+    fn run(seed: u64, trace: bool, metrics: &[(&str, f64)]) -> Run {
+        parse_run(&stdout(true, 0, metrics), seed, trace).expect("canned run parses")
+    }
+
+    /// Five seeds, plain and traced: `p50_ms` takes 5, 1, 4, 2, 3 and
+    /// `core.run_ms` 10 × that.
+    fn five_seeds() -> Vec<Run> {
+        let mut runs = Vec::new();
+        for (seed, v) in (1..=5).zip([5.0, 1.0, 4.0, 2.0, 3.0]) {
+            runs.push(run(seed, false, &[("p50_ms", v), ("mpix_s", 100.0)]));
+            runs.push(run(seed, true, &[("core.run_ms", 10.0 * v)]));
+        }
+        runs
     }
 
     #[test]
-    fn json_document_is_well_formed_enough() {
-        let report = serve_loadgen(&ServeConfig::quick());
-        let json = report.to_json();
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        assert!(json.contains("\"benchmark\": \"serve_throughput\""));
-        // Kernel provenance matches the BENCH_preprocess.json row schema.
-        assert!(json.contains("\"kernel\": \"bitsliced\""));
+    fn parse_run_reads_provenance_counts_and_metrics() {
+        let run = run(3, true, &[("core.run_ms", 1.5), ("pool.hit_ratio", 1.0)]);
+        assert_eq!((run.seed, run.trace), (3, true));
+        assert_eq!(run.provenance, PROVENANCE);
+        assert_eq!((run.correct, run.attempted, run.failed), (true, 10, 0));
+        assert_eq!(run.metrics.len(), 2);
+        assert_eq!(run.metrics[0].name, "core.run_ms");
+        assert_eq!(run.metrics[0].value, 1.5);
+        assert_eq!(run.metrics[1].unit, "ms");
+    }
+
+    #[test]
+    fn failed_incorrect_and_unprovenanced_runs_are_errors() {
+        let ok = stdout(true, 0, &[("p50_ms", 1.0)]);
+        assert!(parse_run(&ok, 1, false).is_ok());
+        assert!(parse_run(&stdout(false, 0, &[("p50_ms", 1.0)]), 1, false).is_err());
+        assert!(parse_run(&stdout(true, 2, &[("p50_ms", 1.0)]), 1, false).is_err());
+        let unprovenanced: String = ok.lines().skip(1).collect::<Vec<_>>().join("\n");
+        assert!(parse_run(&unprovenanced, 1, false).is_err());
+        // A result line cut short, or followed by anything, is not a result.
+        let cut = ok.trim_end().strip_suffix("}}").unwrap();
+        assert!(parse_run(cut, 1, false).is_err());
+        assert!(parse_run(&format!("{ok}note late\n"), 1, false).is_err());
+        assert!(parse_run(&stdout(true, 0, &[("p50_ms", f64::NAN)]), 1, false).is_err());
+    }
+
+    #[test]
+    fn aggregate_takes_median_and_iqr_over_five_seeds() {
+        let row = aggregate("bulk", five_seeds()).unwrap();
+        assert_eq!(row.runs.len(), 10);
+        let names: Vec<&str> = row.stats.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["p50_ms", "mpix_s", "core.run_ms"]);
+        // Sorted 1..=5: median 3, quartiles 2 and 4.
+        assert_eq!((row.stats[0].median, row.stats[0].iqr), (3.0, 2.0));
+        assert_eq!((row.stats[1].median, row.stats[1].iqr), (100.0, 0.0));
+        assert_eq!((row.stats[2].median, row.stats[2].iqr), (30.0, 20.0));
+        assert!(!row.stats[0].trace && row.stats[2].trace);
+    }
+
+    #[test]
+    fn a_metric_missing_from_one_seed_is_an_error() {
+        let mut runs = five_seeds();
+        runs[4] = run(3, false, &[("p50_ms", 4.0)]);
+        assert!(aggregate("bulk", runs).is_err(), "missing from seed 3");
+        let mut runs = five_seeds();
+        runs[4] = run(3, false, &[("p50_ms", 4.0), ("tail_ms", 9.0)]);
+        assert!(aggregate("bulk", runs).is_err(), "renamed in seed 3");
+        let mut runs = five_seeds();
+        runs[0] = run(1, false, &[("p50_ms", 5.0)]);
+        assert!(aggregate("bulk", runs).is_err(), "only seeds 2..=5 have it");
+        let plain_only: Vec<Run> = five_seeds().into_iter().filter(|r| !r.trace).collect();
+        assert!(aggregate("bulk", plain_only).is_err(), "no traced run");
+    }
+
+    #[test]
+    fn workloads_and_run_length_match_benchmark_json() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+        let text = std::fs::read_to_string(path).expect("BENCHMARK.json at the repo root");
+        let (_, workloads) = text.split_once("\"workloads\": [").unwrap();
+        let (workloads, _) = workloads.split_once(']').unwrap();
+        let names: Vec<&str> = workloads
+            .split("\"name\": \"")
+            .skip(1)
+            .map(|rest| rest.split('"').next().unwrap())
+            .collect();
+        assert_eq!(names, WORKLOADS);
+        let (_, seconds) = text.split_once("\"run_seconds\": ").unwrap();
+        let seconds: f64 = seconds.split(',').next().unwrap().trim().parse().unwrap();
+        assert_eq!(seconds, RUN_SECONDS);
+    }
+
+    #[test]
+    fn bench_json_is_balanced_and_carries_every_row_and_the_sweep() {
+        let rows = vec![
+            aggregate("direct", five_seeds()).unwrap(),
+            aggregate("bulk", five_seeds()).unwrap(),
+        ];
+        let sweep = ConnSweepReport {
+            config: ConnSweepConfig::quick(),
+            rows: vec![ConnSweepRow {
+                open_target: 64,
+                open_held: 64,
+                p50_ms: 1.0,
+                p99_ms: 2.0,
+                busy_retries: 0,
+                rejected_connections: 0,
+            }],
+            daemon: "in-process",
+        };
+        let json = bench_json(&rows, 20.0, &sweep);
+        assert!(json.starts_with("{\n") && json.ends_with("}\n"));
+        assert!(json.contains("\"seconds\": 20,"));
+        assert!(json.contains("{\"workload\": \"direct\","));
+        assert!(json.contains("{\"workload\": \"bulk\","));
         assert!(json.contains(&format!(
-            "\"dispatch_tier\": \"{}\"",
-            preflight_core::dispatch_tier().name()
+            "{{\"seed\": 5, \"trace\": 1, \"correct\": true, \"attempted\": 10, \
+             \"failed\": 0, \"provenance\": {PROVENANCE}}}"
         )));
-        assert!(json.contains(&format!("\"crc\": \"{}\"", preflight_serve::crc::backend())));
-        assert!(json.contains(&format!(
-            "\"available_threads\": {}",
-            preflight_core::available_threads()
-        )));
+        assert!(json.contains("\"available_threads\":2"));
+        assert!(json
+            .contains("\"p50_ms\": {\"median\": 3, \"iqr\": 2, \"unit\": \"ms\", \"trace\": 0}"));
+        assert!(json.contains("\"open_connection_sweep\": ["));
+        assert!(json.contains("\"open_target\": 64"));
         let count = |c| json.matches(c).count();
         assert_eq!(count('{'), count('}'));
+        assert_eq!(count('['), count(']'));
     }
 
     #[test]
@@ -971,62 +825,5 @@ mod tests {
             assert!(row.p99_ms >= row.p50_ms);
             assert_eq!(row.rejected_connections, 0, "well under the cap");
         }
-    }
-
-    #[test]
-    fn quick_active_sweep_covers_the_grid() {
-        let config = ActiveSweepConfig::quick();
-        let report = active_sweep(&config);
-        assert_eq!(
-            report.rows.len(),
-            config.payloads.len() * config.client_levels.len() * config.shard_levels.len()
-        );
-        for row in &report.rows {
-            assert!(row.mpix_per_s > 0.0);
-            assert!(row.p99_ms >= row.p50_ms);
-        }
-        // Shard counts actually varied across the grid.
-        assert!(report.rows.iter().any(|r| r.shards == 1));
-        assert!(report.rows.iter().any(|r| r.shards == 2));
-    }
-
-    #[test]
-    fn combined_bench_json_nests_the_sweeps() {
-        let report = serve_loadgen(&ServeConfig::quick());
-        let active = ActiveSweepReport {
-            config: ActiveSweepConfig::quick(),
-            rows: vec![ActiveSweepRow {
-                width: 16,
-                height: 16,
-                frames: 4,
-                clients: 2,
-                shards: 2,
-                mpix_per_s: 10.0,
-                p50_ms: 1.0,
-                p99_ms: 2.0,
-                busy_retries: 0,
-            }],
-        };
-        let sweep = ConnSweepReport {
-            config: ConnSweepConfig::quick(),
-            rows: vec![ConnSweepRow {
-                open_target: 64,
-                open_held: 64,
-                p50_ms: 1.0,
-                p99_ms: 2.0,
-                busy_retries: 0,
-                rejected_connections: 0,
-            }],
-            daemon: "in-process",
-        };
-        let json = bench_json(&report, &active, &sweep);
-        assert!(json.contains("\"active_throughput_sweep\": ["));
-        assert!(json.contains("\"shards\": 2"));
-        assert!(json.contains("\"open_connection_sweep\": ["));
-        assert!(json.contains("\"open_target\": 64"));
-        assert!(json.ends_with("}\n"));
-        let count = |c| json.matches(c).count();
-        assert_eq!(count('{'), count('}'));
-        assert_eq!(count('['), count(']'));
     }
 }

@@ -266,7 +266,8 @@ impl AlgoOtis {
         let mut devs: Vec<f64> = Vec::with_capacity(offsets.len());
         for y in 0..orig.height() {
             for x in 0..orig.width() {
-                let v = f64::from(orig.get(x, y));
+                let sample = orig.get(x, y);
+                let v = f64::from(sample);
                 neigh.clear();
                 for &(dx, dy) in offsets {
                     let nv = f64::from(orig.get_reflect(x as isize + dx, y as isize + dy));
@@ -281,7 +282,7 @@ impl AlgoOtis {
                         let mid = (self.bounds.min + self.bounds.max) / 2.0;
                         report
                             .repairs
-                            .push((x, y, self.repair(v, mid, f64::INFINITY)));
+                            .push((x, y, self.repair(sample, mid, f64::INFINITY)));
                     }
                     continue;
                 }
@@ -293,7 +294,7 @@ impl AlgoOtis {
 
                 if !self.bounds.contains(v) {
                     report.out_of_bounds += 1;
-                    report.repairs.push((x, y, self.repair(v, med, tau)));
+                    report.repairs.push((x, y, self.repair(sample, med, tau)));
                     continue;
                 }
                 let dev = v - med;
@@ -310,7 +311,7 @@ impl AlgoOtis {
                     report.trends_kept += 1;
                     continue;
                 }
-                report.repairs.push((x, y, self.repair(v, med, tau)));
+                report.repairs.push((x, y, self.repair(sample, med, tau)));
             }
         }
         for &(x, y, r) in &report.repairs {
@@ -374,7 +375,7 @@ impl AlgoOtis {
                     let span = self.bounds.max - self.bounds.min;
                     let tau = k * mad.max(self.config.mad_floor_frac * span);
                     if !self.bounds.contains(v) || (v - med).abs() > tau {
-                        let r = self.repair(v, med, tau);
+                        let r = self.repair(orig[b], med, tau);
                         *slot = match r {
                             Repair::BitFlip { value, .. } => value,
                             Repair::MedianReplace { value } => value,
@@ -394,9 +395,12 @@ impl AlgoOtis {
     /// Picks the repair for a faulty value: the single-bit toggle of the
     /// IEEE-754 word that lands closest to the neighborhood median while
     /// conforming (within `tau` and in bounds), else the median itself.
-    fn repair(&self, v: f64, med: f64, tau: f64) -> Repair {
+    /// Takes the sample's own `f32` word: widening to `f64` and back may
+    /// quiet a signalling NaN, and whether it does depends on the build
+    /// profile.
+    fn repair(&self, sample: f32, med: f64, tau: f64) -> Repair {
         if self.config.bit_repair {
-            let bits = (v as f32).to_bits();
+            let bits = sample.to_bits();
             let mut best: Option<(u32, f32, f64)> = None;
             for bit in 0..32 {
                 let cand = f32::from_bits(bits ^ (1 << bit));

@@ -442,19 +442,16 @@ fn assert_pinned(fig: &Figure, label: &str, want: &[f64], rel: f64) {
 /// The orderings above say who wins; these golden Ψ values, taken at the
 /// seeded `tiny()` scale, also say by how much, so a change to the oracle
 /// (the scalar voter, a generator, the Ψ metric) fails here even when
-/// every ordering still holds. The NGST figures are reproducible bit for
-/// bit, so they are pinned to 1e-6 relative: far below the effect of one
-/// changed repair. The OTIS scenes of fig7 round differently in debug and
-/// release builds (one `spots` point moves by 0.2 %), so fig7 is pinned to
-/// 1 % relative.
+/// every ordering still holds. Every figure is reproducible bit for bit
+/// in both the debug and the release profile, so each is pinned to 1e-6
+/// relative: far below the effect of one changed repair.
 #[test]
 fn golden_psi_at_tiny_scale() {
     type Pins = &'static [(&'static str, &'static [f64])];
-    const NGST_REL: f64 = 1e-6;
-    const OTIS_REL: f64 = 1e-2;
-    let check = |fig: &Figure, pins: Pins, rel: f64| {
+    const REL: f64 = 1e-6;
+    let check = |fig: &Figure, pins: Pins| {
         for (label, want) in pins {
-            assert_pinned(fig, label, want, rel);
+            assert_pinned(fig, label, want, REL);
         }
     };
     check(
@@ -503,7 +500,6 @@ fn golden_psi_at_tiny_scale() {
                 ],
             ),
         ],
-        NGST_REL,
     );
     check(
         &bench::fig4(tiny()),
@@ -557,7 +553,6 @@ fn golden_psi_at_tiny_scale() {
                 ],
             ),
         ],
-        NGST_REL,
     );
     check(
         &bench::fig5(tiny()),
@@ -605,7 +600,6 @@ fn golden_psi_at_tiny_scale() {
                 ],
             ),
         ],
-        NGST_REL,
     );
     let fig7 = bench::fig7(tiny());
     let ids: Vec<&str> = fig7.iter().map(|f| f.id.as_str()).collect();
@@ -638,7 +632,6 @@ fn golden_psi_at_tiny_scale() {
                 ],
             ),
         ],
-        OTIS_REL,
     );
     check(
         &fig7[1],
@@ -668,7 +661,6 @@ fn golden_psi_at_tiny_scale() {
                 ],
             ),
         ],
-        OTIS_REL,
     );
     check(
         &fig7[2],
@@ -690,7 +682,7 @@ fn golden_psi_at_tiny_scale() {
                 &[
                     1.1043978428e-02,
                     1.1592545010e-02,
-                    2.2512694261e-02,
+                    2.2461265594e-02,
                     4.3733556183e-02,
                     7.8288325934e-02,
                     1.3129208980e-01,
@@ -698,6 +690,5 @@ fn golden_psi_at_tiny_scale() {
                 ],
             ),
         ],
-        OTIS_REL,
     );
 }
