@@ -41,15 +41,16 @@ pub struct RouteConfig {
 }
 
 impl RouteConfig {
-    /// The standard load: 8 clients × 16 requests of 32×32×8 frames
+    /// The standard load: 8 clients × 128 requests of 32×32×8 frames
     /// through a 3-backend fleet — enough streams to exercise every shard
-    /// and the consistent-hash spread.
+    /// and the consistent-hash spread, and 1024 latency samples, so the
+    /// p99 has about ten samples beyond it.
     pub fn standard() -> Self {
         RouteConfig {
             backends: 3,
             replicate: false,
             clients: 8,
-            requests_per_client: 16,
+            requests_per_client: 128,
             width: 32,
             height: 32,
             frames: 8,
@@ -113,6 +114,9 @@ pub struct RouteReport {
     pub kernel: &'static str,
     /// Resolved SIMD dispatch tier for bit-sliced engines, `-` otherwise.
     pub dispatch_tier: &'static str,
+    /// Every dispatch tier this host supports, least preferred first; a
+    /// bit-sliced row's `dispatch_tier` is the last of them.
+    pub detected_tiers: Vec<&'static str>,
     /// Hardware threads this process may use, so rows taken on a small
     /// host are read as such.
     pub available_threads: usize,
@@ -244,6 +248,10 @@ pub fn route_loadgen(config: &RouteConfig) -> RouteReport {
         divergences,
         kernel: kernel_label(engine_kernel),
         dispatch_tier: tier_label(engine_kernel),
+        detected_tiers: preflight_core::detected_tiers()
+            .iter()
+            .map(|t| t.name())
+            .collect(),
         available_threads: preflight_core::available_threads(),
     }
 }
@@ -338,6 +346,12 @@ impl RouteReport {
         let _ = writeln!(out, "  \"divergences\": {},", self.divergences);
         let _ = writeln!(out, "  \"kernel\": \"{}\",", self.kernel);
         let _ = writeln!(out, "  \"dispatch_tier\": \"{}\",", self.dispatch_tier);
+        let tiers: Vec<String> = self
+            .detected_tiers
+            .iter()
+            .map(|t| format!("\"{t}\""))
+            .collect();
+        let _ = writeln!(out, "  \"detected_tiers\": [{}],", tiers.join(", "));
         let _ = writeln!(out, "  \"available_threads\": {}", self.available_threads);
         out.push_str("}\n");
         out
@@ -364,6 +378,14 @@ mod tests {
     }
 
     #[test]
+    fn standard_run_carries_a_p99() {
+        assert!(
+            RouteConfig::standard().total_requests() >= 1000,
+            "a p99 needs about ten samples beyond it"
+        );
+    }
+
+    #[test]
     fn serial_fleet_spreads_without_replicating() {
         let config = RouteConfig {
             replicate: false,
@@ -387,6 +409,7 @@ mod tests {
             "\"dispatch_tier\": \"{}\"",
             preflight_core::dispatch_tier().name()
         )));
+        assert!(json.contains("\"detected_tiers\": [\"portable\""));
         assert!(json.contains(&format!(
             "\"available_threads\": {}",
             preflight_core::available_threads()

@@ -326,12 +326,13 @@ pub struct ConnSweepConfig {
 
 impl ConnSweepConfig {
     /// The full sweep: 256 → 10 000 idle connections under a light active
-    /// load of 32×32×8 stacks.
+    /// load of 32×32×8 stacks, 1024 per level so each level's p99 has
+    /// about ten samples beyond it.
     pub fn standard() -> Self {
         ConnSweepConfig {
             open_levels: vec![256, 1024, 4096, 10_000],
             active_clients: 4,
-            requests_per_client: 8,
+            requests_per_client: 256,
             width: 32,
             height: 32,
             frames: 8,
@@ -489,7 +490,6 @@ fn spawn_daemon(capacity: usize) -> SweepDaemon {
 /// Panics if a daemon cannot start or active traffic fails — harness
 /// failures, not measurements.
 pub fn conn_sweep(config: &ConnSweepConfig) -> ConnSweepReport {
-    #[cfg(unix)]
     let _ = preflight_serve::poll::raise_nofile_limit();
 
     let mut rows = Vec::with_capacity(config.open_levels.len());
@@ -825,5 +825,14 @@ mod tests {
             assert!(row.p99_ms >= row.p50_ms);
             assert_eq!(row.rejected_connections, 0, "well under the cap");
         }
+    }
+
+    #[test]
+    fn standard_sweep_levels_carry_a_p99() {
+        let c = ConnSweepConfig::standard();
+        assert!(
+            c.active_clients * c.requests_per_client >= 1000,
+            "a p99 needs about ten samples beyond it"
+        );
     }
 }

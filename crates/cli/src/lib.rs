@@ -629,7 +629,6 @@ fn connect_daemon(opts: &Opts) -> Result<preflight_serve::Client, CliError> {
     if let Some(addr) = opts.get("tcp") {
         return Ok(preflight_serve::ClientBuilder::new().tcp(addr).connect()?);
     }
-    #[cfg(unix)]
     if let Some(path) = opts.get("unix") {
         return Ok(preflight_serve::ClientBuilder::new().unix(path).connect()?);
     }

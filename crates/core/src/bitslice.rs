@@ -129,7 +129,9 @@ static FORCED_TIER: AtomicU8 = AtomicU8::new(0);
 
 /// The tier the bit-sliced kernel currently dispatches to.
 ///
-/// Detection runs once per process and is cached; the
+/// By default this is the most preferred tier the CPU supports (the last
+/// of [`detected_tiers`]); tiers are bit-identical, so the choice never
+/// changes results. Detection runs once per process and is cached; the
 /// `PREFLIGHT_FORCE_PORTABLE` environment variable (set to anything but
 /// `0`) pins the portable fallback regardless of what the CPU supports.
 pub fn dispatch_tier() -> DispatchTier {
@@ -143,7 +145,9 @@ pub fn dispatch_tier() -> DispatchTier {
                 if portable_forced() {
                     DispatchTier::Portable
                 } else {
-                    best_tier()
+                    *detected_tiers()
+                        .last()
+                        .expect("portable tier always present")
                 }
             })
         }
@@ -156,72 +160,6 @@ pub fn dispatch_tier() -> DispatchTier {
 /// Reads the environment on each call; callers cache their decision.
 pub fn portable_forced() -> bool {
     std::env::var_os("PREFLIGHT_FORCE_PORTABLE").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Resolves the default dispatch tier. On x86-64 with AVX2 available this
-/// *measures* instead of assuming: the plane loops are memory-bound `u64`
-/// streams that the baseline ISA already auto-vectorizes, so on some
-/// microarchitectures the AVX2 re-instantiation gains nothing (or pays a
-/// vector-license frequency penalty). Tiers are bit-identical, so picking
-/// by throughput can never change results.
-fn best_tier() -> DispatchTier {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return calibrate_x86();
-    }
-    *detected_tiers()
-        .last()
-        .expect("portable tier always present")
-}
-
-/// One-shot micro-calibration (~100 µs, cached for the process): run the
-/// group kernel on a synthetic 64-lane group under each candidate tier,
-/// best-of-3, and keep the faster one.
-#[cfg(target_arch = "x86_64")]
-fn calibrate_x86() -> DispatchTier {
-    let params = BitsliceParams {
-        upsilon: Upsilon::FOUR,
-        sensitivity: Sensitivity::new(80).expect("80 is a valid sensitivity"),
-        msb_margin: crate::voter::DEFAULT_MSB_MARGIN,
-        static_windows: None,
-        use_grt: true,
-    };
-    let n = 96usize;
-    let mut buf = vec![0u32; 64 * n];
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    for v in buf.iter_mut() {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1);
-        *v = 1_000_000 + (state >> 56) as u32;
-        if state >> 32 & 0xFF < 5 {
-            *v ^= 1 << (18 + (state >> 40 & 0x3) as u32);
-        }
-    }
-    let obs = Obs::disabled();
-    let mut scratch = VoterScratch::new();
-    let mut best = [std::time::Duration::MAX; 2];
-    for _ in 0..3 {
-        let mut work = buf.clone();
-        let mut rows: Vec<&mut [u32]> = work.chunks_mut(64).collect();
-        let t0 = std::time::Instant::now();
-        // SAFETY: guarded by the caller's `is_x86_feature_detected!("avx2")`.
-        #[allow(unsafe_code)]
-        unsafe {
-            group_avx2(&params, &mut rows, 0, 64, &mut scratch, &obs);
-        }
-        best[0] = best[0].min(t0.elapsed());
-        let mut work = buf.clone();
-        let mut rows: Vec<&mut [u32]> = work.chunks_mut(64).collect();
-        let t0 = std::time::Instant::now();
-        group_impl(&params, &mut rows, 0, 64, &mut scratch, &obs);
-        best[1] = best[1].min(t0.elapsed());
-    }
-    if best[0] < best[1] {
-        DispatchTier::Avx2
-    } else {
-        DispatchTier::Portable
-    }
 }
 
 /// Forces [`dispatch_tier`] to return `tier` (or clears the override with

@@ -269,7 +269,6 @@ fn main() {
         }));
     }
 
-    #[cfg(unix)]
     if let Some(path) = &args.unix {
         let _ = std::fs::remove_file(path);
         let listener = match std::os::unix::net::UnixListener::bind(path) {
@@ -302,11 +301,6 @@ fn main() {
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }));
-    }
-    #[cfg(not(unix))]
-    if args.unix.is_some() {
-        eprintln!("chaosd: Unix sockets are not available on this platform");
-        std::process::exit(1);
     }
 
     while !signal::triggered() {

@@ -26,8 +26,7 @@ pub const MAX_BACKENDS: usize = 16;
 pub enum BackendAddr {
     /// A TCP address, e.g. `127.0.0.1:7733`.
     Tcp(String),
-    /// A Unix socket path (Unix only).
-    #[cfg(unix)]
+    /// A Unix socket path.
     Unix(PathBuf),
 }
 
@@ -45,20 +44,10 @@ impl BackendAddr {
             return Ok(BackendAddr::Tcp(addr.to_owned()));
         }
         if let Some(path) = spec.strip_prefix("unix://") {
-            #[cfg(unix)]
-            {
-                if path.is_empty() {
-                    return Err(format!("backend '{spec}': empty socket path"));
-                }
-                return Ok(BackendAddr::Unix(PathBuf::from(path)));
+            if path.is_empty() {
+                return Err(format!("backend '{spec}': empty socket path"));
             }
-            #[cfg(not(unix))]
-            {
-                let _ = path;
-                return Err(format!(
-                    "backend '{spec}': Unix sockets are not available on this platform"
-                ));
-            }
+            return Ok(BackendAddr::Unix(PathBuf::from(path)));
         }
         if spec.is_empty() {
             return Err("empty backend spec".to_owned());
@@ -73,7 +62,6 @@ impl BackendAddr {
     pub fn connect(&self) -> Result<Client, ClientError> {
         match self {
             BackendAddr::Tcp(addr) => ClientBuilder::new().tcp(addr).connect(),
-            #[cfg(unix)]
             BackendAddr::Unix(path) => ClientBuilder::new().unix(path).connect(),
         }
     }
@@ -83,7 +71,6 @@ impl fmt::Display for BackendAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BackendAddr::Tcp(addr) => write!(f, "tcp://{addr}"),
-            #[cfg(unix)]
             BackendAddr::Unix(path) => write!(f, "unix://{}", path.display()),
         }
     }
@@ -266,7 +253,6 @@ mod tests {
             BackendAddr::parse("10.0.0.2:7733"),
             Ok(BackendAddr::Tcp("10.0.0.2:7733".to_owned()))
         );
-        #[cfg(unix)]
         assert_eq!(
             BackendAddr::parse("unix:///tmp/pfd.sock"),
             Ok(BackendAddr::Unix(PathBuf::from("/tmp/pfd.sock")))

@@ -67,7 +67,7 @@ const BODY_CHUNK: usize = 256 * 1024;
 pub struct RouterConfig {
     /// TCP listen address for clients (e.g. `127.0.0.1:0`), if any.
     pub tcp: Option<String>,
-    /// Unix socket path for clients, if any (Unix only).
+    /// Unix socket path for clients, if any.
     pub unix: Option<PathBuf>,
     /// The backend fleet, in ring order. 1..=[`MAX_BACKENDS`] entries.
     pub backends: Vec<BackendAddr>,
@@ -293,7 +293,6 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
     }
 
     let mut unix_path = None;
-    #[cfg(unix)]
     if let Some(path) = &config.unix {
         let _ = std::fs::remove_file(path);
         let listener = std::os::unix::net::UnixListener::bind(path)?;
@@ -306,14 +305,6 @@ pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
                 .spawn(move || accept_unix(listener, shared))?,
         );
     }
-    #[cfg(not(unix))]
-    if config.unix.is_some() {
-        return Err(std::io::Error::new(
-            ErrorKind::Unsupported,
-            "Unix sockets are not available on this platform",
-        ));
-    }
-
     let mut metrics_addr = None;
     if let Some(addr) = &config.metrics_addr {
         let listener = TcpListener::bind(addr)?;
@@ -401,7 +392,6 @@ fn accept_tcp(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-#[cfg(unix)]
 fn accept_unix(listener: std::os::unix::net::UnixListener, shared: Arc<Shared>) {
     while !shared.draining.load(Ordering::SeqCst) {
         match listener.accept() {

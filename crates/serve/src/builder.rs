@@ -62,7 +62,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Listens on a Unix socket path (Unix only).
+    /// Listens on a Unix socket path.
     pub fn unix(mut self, path: impl Into<PathBuf>) -> Self {
         self.config.unix = Some(path.into());
         self
@@ -147,8 +147,7 @@ impl ServerBuilder {
     /// Binds the sockets and starts the daemon threads.
     ///
     /// # Errors
-    /// Fails if no socket was configured, a bind fails, or the platform
-    /// has neither epoll nor kqueue.
+    /// Fails if no socket was configured or a bind fails.
     pub fn serve(self) -> std::io::Result<ServerHandle> {
         crate::server::start_config(self.config)
     }
@@ -193,7 +192,7 @@ impl ClientBuilder {
         self
     }
 
-    /// Connects over a Unix socket (Unix only).
+    /// Connects over a Unix socket.
     pub fn unix(mut self, path: impl Into<PathBuf>) -> Self {
         self.target = Some(Target::Unix(path.into()));
         self
@@ -260,23 +259,12 @@ impl ClientBuilder {
                 Client::from_tcp(stream)?
             }
             Target::Unix(path) => {
-                #[cfg(unix)]
-                {
-                    let stream = std::os::unix::net::UnixStream::connect(path)?;
-                    if let Some(t) = self.io_timeout {
-                        stream.set_read_timeout(Some(t))?;
-                        stream.set_write_timeout(Some(t))?;
-                    }
-                    Client::from_unix(stream)?
+                let stream = std::os::unix::net::UnixStream::connect(path)?;
+                if let Some(t) = self.io_timeout {
+                    stream.set_read_timeout(Some(t))?;
+                    stream.set_write_timeout(Some(t))?;
                 }
-                #[cfg(not(unix))]
-                {
-                    let _ = path;
-                    return Err(ClientError::Io(std::io::Error::new(
-                        std::io::ErrorKind::Unsupported,
-                        "Unix sockets are not available on this platform",
-                    )));
-                }
+                Client::from_unix(stream)?
             }
         };
         client.retry = self.retry;

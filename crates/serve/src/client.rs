@@ -114,7 +114,6 @@ impl Default for SubmitOptions {
 
 enum Transport {
     Tcp(TcpStream),
-    #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
 }
 
@@ -122,7 +121,6 @@ impl Read for Transport {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             Transport::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
             Transport::Unix(s) => s.read(buf),
         }
     }
@@ -132,7 +130,6 @@ impl Write for Transport {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
             Transport::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
             Transport::Unix(s) => s.write(buf),
         }
     }
@@ -140,7 +137,6 @@ impl Write for Transport {
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Transport::Tcp(s) => s.flush(),
-            #[cfg(unix)]
             Transport::Unix(s) => s.flush(),
         }
     }
@@ -171,7 +167,6 @@ impl Client {
         })
     }
 
-    #[cfg(unix)]
     pub(crate) fn from_unix(stream: std::os::unix::net::UnixStream) -> Result<Self, ClientError> {
         Ok(Client {
             transport: Transport::Unix(stream),

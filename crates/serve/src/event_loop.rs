@@ -1,7 +1,7 @@
 //! The non-blocking connection engine: one thread per shard, every socket.
 //!
 //! PR 9 ran a single loop thread that multiplexed the listeners, every
-//! connection, and a self-pipe waker over [`crate::poll`] (epoll/kqueue).
+//! connection, and a self-pipe waker over [`crate::poll`] (epoll).
 //! This revision keeps that shape but runs N independent copies of it —
 //! *shards* — each owning its own poller, timer wheel, connections, and
 //! reply channel, so accepts, envelope decoding, and response writes scale
@@ -26,8 +26,7 @@
 //!   with both CRC layers folded as bytes land — no intermediate body
 //!   `Vec`, no re-parse, exactly one payload copy (socket → pool).
 //! - **Egress**: responses are never re-encoded into a contiguous buffer.
-//!   The loop keeps the engine's pooled stack, puts its words in wire order
-//!   in place (the identity on little-endian hosts), encodes head + stats +
+//!   The loop keeps the engine's pooled stack, encodes head + stats +
 //!   frame CRCs into a small reused scratch, and `writev`s the segments
 //!   straight from the stack ([`crate::poll::writev_fd`]). Once the last
 //!   byte hits the wire the stack returns to the [`BufferPool`].
@@ -49,14 +48,12 @@
 //!   [`DRAIN_TIMEOUT`] passes — whichever shard observes it first sets
 //!   `drain_acked`, and every shard answers its own waiters.
 
-#![cfg(unix)]
-
 use crate::batcher::SubmitJob;
 use crate::ingest::Ingest;
-use crate::poll::{Interest, Poller, WakeReader, IOV_BATCH};
+use crate::poll::{Interest, Poller, WakeReader, Waker, IOV_BATCH};
 use crate::pool::BufferPool;
 use crate::queue::AdmissionPermit;
-use crate::reply::{ReplySink, WakeFn};
+use crate::reply::ReplySink;
 use crate::server::{Shared, BODY_CHUNK, DRAIN_TIMEOUT, MID_ENVELOPE_STALL};
 use crate::wheel::TimerWheel;
 use crate::wire::{
@@ -113,7 +110,7 @@ pub(crate) struct LoopConfig {
     /// The pixel-buffer pool shared with the engine workers.
     pub pool: Arc<BufferPool>,
     /// This shard's own waker (embedded in [`ReplySink`]s it hands out).
-    pub wake: WakeFn,
+    pub wake: Waker,
     pub reply_tx: channel::Sender<(u64, Message)>,
     pub reply_rx: channel::Receiver<(u64, Message)>,
     pub wake_reader: WakeReader,
@@ -122,7 +119,7 @@ pub(crate) struct LoopConfig {
     pub handoff_rx: channel::Receiver<Handoff>,
     /// Every shard's handoff lane (sender + waker), indexed by shard; used
     /// by the Unix-listener owner to round-robin accepts.
-    pub handoff: Vec<(channel::Sender<Handoff>, WakeFn)>,
+    pub handoff: Vec<(channel::Sender<Handoff>, Waker)>,
 }
 
 /// Where the envelope decoder stands.
@@ -205,20 +202,11 @@ impl OutMsg {
     }
 }
 
-/// The wire bytes of one frame of a stack already in wire order.
+/// The wire bytes of one frame of a stack.
 fn frame_le_bytes(payload: &FramePayload, frame: usize) -> &[u8] {
     match payload {
         FramePayload::U16(s) => crate::bytes::le_view(s.frame(frame)),
         FramePayload::U32(s) => crate::bytes::le_view(s.frame(frame)),
-    }
-}
-
-/// Puts an owned reply stack's words in wire order, so its frames can be
-/// sent as in-place views (the identity on little-endian hosts).
-fn to_wire_order(payload: &mut FramePayload) {
-    match payload {
-        FramePayload::U16(s) => crate::bytes::reorder_le(s.as_mut_slice()),
-        FramePayload::U32(s) => crate::bytes::reorder_le(s.as_mut_slice()),
     }
 }
 
@@ -581,7 +569,7 @@ fn accept_unix_burst(
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     accepts: &Counter,
-    handoff: &[(channel::Sender<Handoff>, WakeFn)],
+    handoff: &[(channel::Sender<Handoff>, Waker)],
     rr: &mut usize,
     own_shard: usize,
 ) {
@@ -626,7 +614,7 @@ fn accept_unix_burst(
             // On send failure the peer shard is gone; the permit and the
             // socket drop here, freeing the slot.
             if tx.send(Handoff { sock, permit }).is_ok() {
-                wake_peer();
+                wake_peer.wake();
             }
         }
     }
@@ -724,7 +712,7 @@ fn handle_readable(
     shared: &Arc<Shared>,
     pool: &Arc<BufferPool>,
     reply_tx: &channel::Sender<(u64, Message)>,
-    wake: &WakeFn,
+    wake: &Waker,
     drain: &mut Option<DrainState>,
 ) -> Verdict {
     // After a wire error or protocol violation the reply is queued and the
@@ -826,7 +814,7 @@ fn dispatch(
     message: Message,
     shared: &Arc<Shared>,
     reply_tx: &channel::Sender<(u64, Message)>,
-    wake: &WakeFn,
+    wake: &Waker,
     drain: &mut Option<DrainState>,
 ) -> Verdict {
     match message {
@@ -997,8 +985,7 @@ fn response_out_msg(mut msg: OutMsg, resp: crate::wire::SubmitResponse) -> OutMs
     put_u32(&mut msg.scratch, 0); // payload length, patched below
     put_u64(&mut msg.scratch, resp.request_id);
     encode_stats(&resp.stats, &mut msg.scratch);
-    let mut payload = resp.payload;
-    to_wire_order(&mut payload);
+    let payload = resp.payload;
     msg.scratch.push(payload.dtype().code());
     put_u32(&mut msg.scratch, payload.width() as u32);
     put_u32(&mut msg.scratch, payload.height() as u32);

@@ -6,11 +6,10 @@
 //! `Submit` and `Response`, the fixed prefix before the first pixel is
 //! collected in a small array and parsed by [`wire::parse_frame_prefix`];
 //! pixel bytes then land directly in a pooled, engine-ready stack buffer
-//! (the one payload copy), with both CRC layers folded as they arrive.
-//! Each completed frame gets one in-place pass from wire to host order,
-//! which is the identity on little-endian hosts. Control messages collect
-//! in a buffer that grows with the bytes received and are decoded by
-//! [`wire::decode_payload`].
+//! (the one payload copy), with both CRC layers folded as they arrive;
+//! wire order is host order, so the landed bytes are the samples. Control
+//! messages collect in a buffer that grows with the bytes received and are
+//! decoded by [`wire::decode_payload`].
 //!
 //! The daemon's event loop drives an `Ingest` from non-blocking sockets;
 //! [`read_body`] drives one from a blocking reader, and through it
@@ -76,16 +75,6 @@ impl StackBuf {
         match self {
             StackBuf::U16(v) => crate::bytes::le_window(v, byte_off, len),
             StackBuf::U32(v) => crate::bytes::le_window(v, byte_off, len),
-        }
-    }
-
-    /// Puts the words of frame `frame` (`frame_len` samples each), whose
-    /// wire bytes have all landed, in host order.
-    fn frame_to_host(&mut self, frame: usize, frame_len: usize) {
-        let words = frame * frame_len..(frame + 1) * frame_len;
-        match self {
-            StackBuf::U16(v) => crate::bytes::reorder_le(&mut v[words]),
-            StackBuf::U32(v) => crate::bytes::reorder_le(&mut v[words]),
         }
     }
 
@@ -279,7 +268,6 @@ impl Ingest {
                 *off += n;
                 self.consumed += n;
                 if *off == geometry.frame_bytes {
-                    stack.frame_to_host(*frame, geometry.width * geometry.height);
                     self.phase = Phase::FrameCrc {
                         frame: *frame,
                         got: [0u8; 4],

@@ -29,6 +29,12 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+// The serving crates (this one, and the router, CLI and bench crates that
+// depend on it) run on little-endian Linux only: `poll` is an epoll shim and
+// `bytes` views pixel words as their wire bytes. See DESIGN.md §15.
+#[cfg(not(all(target_os = "linux", target_endian = "little")))]
+compile_error!("preflight-serve builds for little-endian Linux only (DESIGN.md §15)");
+
 pub mod batcher;
 pub mod builder;
 pub(crate) mod bytes;

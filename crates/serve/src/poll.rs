@@ -1,5 +1,5 @@
 //! Readiness polling for the event-driven daemon: a thin, audited FFI shim
-//! over `epoll(7)` (Linux) and `kqueue(2)` (macOS/FreeBSD).
+//! over `epoll(7)`. The serving crates build for Linux only (DESIGN.md §15).
 //!
 //! The workspace bans `unsafe` (see CONTRIBUTING.md); [`crate::signal`] was
 //! the first documented exception and this module is the second, for the
@@ -7,10 +7,10 @@
 //! no-new-dependencies rule keeps `libc`/`mio`/`polling` out. The audit
 //! surface is deliberately small:
 //!
-//! - every `extern "C"` declaration matches the kernel ABI for the targets
-//!   we compile on (struct layouts are `#[repr(C)]` with the platform's
-//!   packing, constants are copied from the platform headers and
-//!   cross-checked against the libc crate's definitions);
+//! - every `extern "C"` declaration matches the Linux kernel ABI (struct
+//!   layouts are `#[repr(C)]` with the kernel's packing, constants are
+//!   copied from the kernel headers and cross-checked against the libc
+//!   crate's definitions);
 //! - every call site checks the return value and converts `-1` into
 //!   [`std::io::Error::last_os_error`] — no errno is ever ignored silently;
 //! - no pointer outlives the call it is passed to: the kernel writes into
@@ -22,18 +22,15 @@
 //! The API is deliberately tiny — register/modify/remove a file descriptor
 //! under a `u64` token, wait for readiness, and a self-pipe [`Waker`] so
 //! other threads (engine workers queuing responses, the drain path) can
-//! interrupt a wait. Level-triggered semantics on both backends, so a
-//! partially-consumed readable socket is simply reported again.
+//! interrupt a wait. Level-triggered, so a partially-consumed readable
+//! socket is simply reported again.
 
 #![allow(unsafe_code)]
 
 use std::io;
+use std::os::fd::RawFd;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Raw file descriptor alias (mirrors `std::os::fd::RawFd` without pulling
-/// the platform-specific prelude into every user of this module).
-pub type RawFd = i32;
 
 /// What readiness to watch a descriptor for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,10 +61,9 @@ pub struct Event {
 // Shared POSIX calls (read/write/close/fcntl/pipe/rlimit)
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
 mod posix {
-    use super::RawFd;
     use std::io;
+    use std::os::fd::RawFd;
 
     extern "C" {
         fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
@@ -83,14 +79,8 @@ mod posix {
     const F_SETFL: i32 = 4;
     const F_SETFD: i32 = 2;
     const FD_CLOEXEC: i32 = 1;
-    #[cfg(target_os = "linux")]
     const O_NONBLOCK: i32 = 0o4000;
-    #[cfg(not(target_os = "linux"))]
-    const O_NONBLOCK: i32 = 0x0004;
-    #[cfg(target_os = "linux")]
     const RLIMIT_NOFILE: i32 = 7;
-    #[cfg(not(target_os = "linux"))]
-    const RLIMIT_NOFILE: i32 = 8;
 
     #[repr(C)]
     struct Rlimit {
@@ -108,7 +98,7 @@ mod posix {
 
     pub(super) fn close_fd(fd: RawFd) {
         // Double-close is the only misuse `close` has; fds here are owned
-        // exactly once (Poller, WakePipe) and closed in Drop only.
+        // exactly once (Poller, WakeReader, WakeFd) and closed in Drop only.
         unsafe {
             let _ = close(fd);
         }
@@ -127,12 +117,7 @@ mod posix {
         let mut fds = [0i32; 2];
         check(unsafe { pipe(fds.as_mut_ptr()) })?;
         for fd in fds {
-            let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-            if flags < 0
-                || unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0
-                || unsafe { fcntl(fd, F_SETFD, FD_CLOEXEC) } < 0
-            {
-                let e = io::Error::last_os_error();
+            if let Err(e) = set_nonblocking_cloexec(fd) {
                 close_fd(fds[0]);
                 close_fd(fds[1]);
                 return Err(e);
@@ -170,6 +155,7 @@ mod posix {
 
     /// `struct iovec`: one segment of a gathered write.
     #[repr(C)]
+    #[derive(Clone, Copy)]
     pub(super) struct IoVec {
         base: *const u8,
         len: usize,
@@ -186,22 +172,13 @@ mod posix {
         let mut iov = [IoVec {
             base: std::ptr::null(),
             len: 0,
-        }; MAX_IOV];
-        let n = bufs.len().min(MAX_IOV);
+        }; super::IOV_BATCH];
+        let n = bufs.len().min(super::IOV_BATCH);
         for (v, b) in iov.iter_mut().zip(&bufs[..n]) {
             v.base = b.as_ptr();
             v.len = b.len();
         }
         unsafe { writev(fd, iov.as_ptr(), n as i32) }
-    }
-
-    pub(super) const MAX_IOV: usize = 64;
-
-    impl Copy for IoVec {}
-    impl Clone for IoVec {
-        fn clone(&self) -> Self {
-            *self
-        }
     }
 }
 
@@ -209,16 +186,9 @@ mod posix {
 /// how many connections one daemon can actually hold.
 ///
 /// # Errors
-/// Fails if `getrlimit(2)` fails (effectively never) or off Unix.
+/// Fails if `getrlimit(2)` fails (effectively never).
 pub fn nofile_limit() -> io::Result<(u64, u64)> {
-    #[cfg(unix)]
-    {
-        posix::nofile_limit()
-    }
-    #[cfg(not(unix))]
-    {
-        Err(unsupported())
-    }
+    posix::nofile_limit()
 }
 
 /// Raises the soft open-file limit to the hard limit (a daemon serving
@@ -226,31 +196,14 @@ pub fn nofile_limit() -> io::Result<(u64, u64)> {
 /// needs this at startup). Returns the resulting soft limit.
 ///
 /// # Errors
-/// Fails if `setrlimit(2)` refuses (never, when only raising soft to hard)
-/// or off Unix.
+/// Fails if `setrlimit(2)` refuses (never, when only raising soft to hard).
 pub fn raise_nofile_limit() -> io::Result<u64> {
-    #[cfg(unix)]
-    {
-        posix::raise_nofile_limit()
-    }
-    #[cfg(not(unix))]
-    {
-        Err(unsupported())
-    }
+    posix::raise_nofile_limit()
 }
 
-#[cfg(not(unix))]
-fn unsupported() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::Unsupported,
-        "readiness polling needs epoll or kqueue; this platform has neither",
-    )
-}
-
-/// Most buffer segments one [`writev`] call gathers. Longer reply queues
+/// Most buffer segments one [`writev_fd`] call gathers. Longer reply queues
 /// simply take another call on the next writable round — well under
-/// `IOV_MAX` (1024) everywhere.
-#[cfg(unix)]
+/// `IOV_MAX` (1024).
 pub const IOV_BATCH: usize = 64;
 
 /// One gathered write: up to [`IOV_BATCH`] leading slices of `bufs` go out
@@ -259,7 +212,6 @@ pub const IOV_BATCH: usize = 64;
 ///
 /// # Errors
 /// Any socket error, including `WouldBlock` when the send buffer is full.
-#[cfg(unix)]
 pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
     let n = posix::writev_fd(fd, bufs);
     if n < 0 {
@@ -273,7 +225,6 @@ pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
 // SO_REUSEPORT listeners (multi-shard accept)
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
 mod sock {
     use super::posix::{check, close_fd, set_nonblocking_cloexec};
     use std::io;
@@ -288,48 +239,24 @@ mod sock {
     }
 
     const AF_INET: i32 = 2;
-    #[cfg(target_os = "linux")]
     const AF_INET6: i32 = 10;
-    #[cfg(target_os = "macos")]
-    const AF_INET6: i32 = 30;
-    #[cfg(not(any(target_os = "linux", target_os = "macos")))]
-    const AF_INET6: i32 = 28;
     const SOCK_STREAM: i32 = 1;
-    #[cfg(target_os = "linux")]
     const SOL_SOCKET: i32 = 1;
-    #[cfg(not(target_os = "linux"))]
-    const SOL_SOCKET: i32 = 0xFFFF;
-    #[cfg(target_os = "linux")]
     const SO_REUSEADDR: i32 = 2;
-    #[cfg(not(target_os = "linux"))]
-    const SO_REUSEADDR: i32 = 0x0004;
-    #[cfg(target_os = "linux")]
     const SO_REUSEPORT: i32 = 15;
-    #[cfg(not(target_os = "linux"))]
-    const SO_REUSEPORT: i32 = 0x0200;
 
-    /// `struct sockaddr_in` / `sockaddr_in6`. Linux leads with a 16-bit
-    /// family; the BSDs with a length byte + 8-bit family.
+    /// `struct sockaddr_in`.
     #[repr(C)]
     struct SockaddrIn {
-        #[cfg(not(target_os = "linux"))]
-        sin_len: u8,
-        #[cfg(not(target_os = "linux"))]
-        sin_family: u8,
-        #[cfg(target_os = "linux")]
         sin_family: u16,
         sin_port: u16,
         sin_addr: u32,
         sin_zero: [u8; 8],
     }
 
+    /// `struct sockaddr_in6`.
     #[repr(C)]
     struct SockaddrIn6 {
-        #[cfg(not(target_os = "linux"))]
-        sin6_len: u8,
-        #[cfg(not(target_os = "linux"))]
-        sin6_family: u8,
-        #[cfg(target_os = "linux")]
         sin6_family: u16,
         sin6_port: u16,
         sin6_flowinfo: u32,
@@ -351,6 +278,15 @@ mod sock {
         Ok(())
     }
 
+    /// Binds `fd` to the socket address `sa`, which must be one of the
+    /// `#[repr(C)]` `sockaddr` structs above.
+    fn bind_to<T>(fd: i32, sa: &T) -> io::Result<()> {
+        // SAFETY: `sa` is a live borrow of a sockaddr struct whose size is
+        // passed alongside it; the kernel only reads it during the call.
+        check(unsafe { bind(fd, (sa as *const T).cast(), std::mem::size_of::<T>() as u32) })?;
+        Ok(())
+    }
+
     /// A nonblocking TCP listener on `addr` with `SO_REUSEPORT` set before
     /// bind, so N shards can each own a listener on the same port and the
     /// kernel load-balances accepts across them.
@@ -365,47 +301,25 @@ mod sock {
             sockopt(fd, SO_REUSEADDR)?;
             sockopt(fd, SO_REUSEPORT)?;
             match addr {
-                SocketAddr::V4(v4) => {
-                    let sa = SockaddrIn {
-                        #[cfg(not(target_os = "linux"))]
-                        sin_len: std::mem::size_of::<SockaddrIn>() as u8,
-                        #[cfg(not(target_os = "linux"))]
-                        sin_family: AF_INET as u8,
-                        #[cfg(target_os = "linux")]
+                SocketAddr::V4(v4) => bind_to(
+                    fd,
+                    &SockaddrIn {
                         sin_family: AF_INET as u16,
                         sin_port: v4.port().to_be(),
                         sin_addr: u32::from_ne_bytes(v4.ip().octets()),
                         sin_zero: [0; 8],
-                    };
-                    check(unsafe {
-                        bind(
-                            fd,
-                            (&sa as *const SockaddrIn).cast(),
-                            std::mem::size_of::<SockaddrIn>() as u32,
-                        )
-                    })?;
-                }
-                SocketAddr::V6(v6) => {
-                    let sa = SockaddrIn6 {
-                        #[cfg(not(target_os = "linux"))]
-                        sin6_len: std::mem::size_of::<SockaddrIn6>() as u8,
-                        #[cfg(not(target_os = "linux"))]
-                        sin6_family: AF_INET6 as u8,
-                        #[cfg(target_os = "linux")]
+                    },
+                )?,
+                SocketAddr::V6(v6) => bind_to(
+                    fd,
+                    &SockaddrIn6 {
                         sin6_family: AF_INET6 as u16,
                         sin6_port: v6.port().to_be(),
                         sin6_flowinfo: v6.flowinfo(),
                         sin6_addr: v6.ip().octets(),
                         sin6_scope_id: v6.scope_id(),
-                    };
-                    check(unsafe {
-                        bind(
-                            fd,
-                            (&sa as *const SockaddrIn6).cast(),
-                            std::mem::size_of::<SockaddrIn6>() as u32,
-                        )
-                    })?;
-                }
+                    },
+                )?,
             }
             check(unsafe { listen(fd, 1024) })?;
             set_nonblocking_cloexec(fd)?;
@@ -428,405 +342,75 @@ mod sock {
 /// kernel spreads incoming connections across the listeners.
 ///
 /// # Errors
-/// Any socket/bind/listen failure, or off Unix.
+/// Any socket/bind/listen failure.
 pub fn reuseport_tcp_listener(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-    #[cfg(unix)]
-    {
-        sock::reuseport_tcp_listener(addr)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = addr;
-        Err(unsupported())
-    }
+    sock::reuseport_tcp_listener(addr)
 }
 
 // ---------------------------------------------------------------------------
-// Linux: epoll
+// epoll
 // ---------------------------------------------------------------------------
 
-#[cfg(target_os = "linux")]
-mod backend {
-    use super::posix::{check, close_fd};
-    use super::{Event, Interest, RawFd};
-    use std::io;
-    use std::time::Duration;
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    }
-
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-
-    /// `struct epoll_event`. The kernel packs it on x86/x86_64 only (see
-    /// `EPOLL_PACKED` in the kernel headers); other architectures use the
-    /// natural 16-byte layout.
-    #[repr(C)]
-    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
-    #[derive(Clone, Copy)]
-    pub(super) struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        // RDHUP distinguishes an orderly peer shutdown from silence, so a
-        // half-closed connection is torn down instead of idling forever.
-        let base = EPOLLRDHUP;
-        match interest {
-            Interest::Read => base | EPOLLIN,
-            Interest::Write => base | EPOLLOUT,
-            Interest::ReadWrite => base | EPOLLIN | EPOLLOUT,
-        }
-    }
-
-    pub(super) struct Backend {
-        epfd: RawFd,
-    }
-
-    impl Backend {
-        pub fn new() -> io::Result<Self> {
-            let epfd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-            Ok(Backend { epfd })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: mask(interest),
-                data: token,
-            };
-            check(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) })?;
-            Ok(())
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-            // Pre-2.6.9 kernels demanded a non-null event for DEL; passing
-            // one is harmless everywhere.
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            check(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) })?;
-            Ok(())
-        }
-
-        pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(d) if d.is_zero() => 0,
-                // Round sub-millisecond timeouts up so a 100µs deadline
-                // does not spin at timeout 0.
-                Some(d) => i32::try_from(d.as_millis()).unwrap_or(i32::MAX).max(1),
-            };
-            let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
-            let n = loop {
-                let ret = unsafe {
-                    epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
-                };
-                if ret >= 0 {
-                    break ret as usize;
-                }
-                let e = io::Error::last_os_error();
-                if e.kind() != io::ErrorKind::Interrupted {
-                    return Err(e);
-                }
-                // EINTR: retry with the same timeout (the daemon's signal
-                // handling is polled via the waker, not via EINTR).
-            };
-            out.clear();
-            for ev in &buf[..n] {
-                // Copy out of the (possibly packed) struct before use.
-                let events = ev.events;
-                let data = ev.data;
-                out.push(Event {
-                    token: data,
-                    readable: events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP) != 0,
-                    writable: events & EPOLLOUT != 0,
-                    closed: events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(n)
-        }
-    }
-
-    impl Drop for Backend {
-        fn drop(&mut self) {
-            close_fd(self.epfd);
-        }
-    }
+extern "C" {
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
 }
 
-// ---------------------------------------------------------------------------
-// macOS / FreeBSD: kqueue
-// ---------------------------------------------------------------------------
+const EPOLL_CLOEXEC: i32 = 0o2000000;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
 
-#[cfg(any(target_os = "macos", target_os = "freebsd"))]
-mod backend {
-    use super::posix::{check, close_fd};
-    use super::{Event, Interest, RawFd};
-    use std::io;
-    use std::time::Duration;
-
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-
-    /// `struct kevent`. macOS and FreeBSD (12+) differ: FreeBSD widens
-    /// `data` to `i64` and appends `ext[4]`.
-    #[cfg(target_os = "macos")]
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct Kevent {
-        ident: usize,
-        filter: i16,
-        flags: u16,
-        fflags: u32,
-        data: isize,
-        udata: u64,
-    }
-
-    #[cfg(target_os = "freebsd")]
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct Kevent {
-        ident: usize,
-        filter: i16,
-        flags: u16,
-        fflags: u32,
-        data: i64,
-        udata: u64,
-        ext: [u64; 4],
-    }
-
-    extern "C" {
-        fn kqueue() -> i32;
-        fn kevent(
-            kq: i32,
-            changelist: *const Kevent,
-            nchanges: i32,
-            eventlist: *mut Kevent,
-            nevents: i32,
-            timeout: *const Timespec,
-        ) -> i32;
-    }
-
-    const EVFILT_READ: i16 = -1;
-    const EVFILT_WRITE: i16 = -2;
-    const EV_ADD: u16 = 0x0001;
-    const EV_DELETE: u16 = 0x0002;
-    const EV_EOF: u16 = 0x8000;
-    const EV_ERROR: u16 = 0x4000;
-
-    #[cfg(target_os = "macos")]
-    fn kev(ident: RawFd, filter: i16, flags: u16, token: u64) -> Kevent {
-        Kevent {
-            ident: ident as usize,
-            filter,
-            flags,
-            fflags: 0,
-            data: 0,
-            udata: token,
-        }
-    }
-
-    #[cfg(target_os = "freebsd")]
-    fn kev(ident: RawFd, filter: i16, flags: u16, token: u64) -> Kevent {
-        Kevent {
-            ident: ident as usize,
-            filter,
-            flags,
-            fflags: 0,
-            data: 0,
-            udata: token,
-            ext: [0; 4],
-        }
-    }
-
-    pub(super) struct Backend {
-        kq: RawFd,
-    }
-
-    impl Backend {
-        pub fn new() -> io::Result<Self> {
-            let kq = check(unsafe { kqueue() })?;
-            Ok(Backend { kq })
-        }
-
-        fn apply(&self, changes: &[Kevent]) -> io::Result<()> {
-            check(unsafe {
-                kevent(
-                    self.kq,
-                    changes.as_ptr(),
-                    changes.len() as i32,
-                    std::ptr::null_mut(),
-                    0,
-                    std::ptr::null(),
-                )
-            })?;
-            Ok(())
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut changes = Vec::with_capacity(2);
-            if matches!(interest, Interest::Read | Interest::ReadWrite) {
-                changes.push(kev(fd, EVFILT_READ, EV_ADD, token));
-            }
-            if matches!(interest, Interest::Write | Interest::ReadWrite) {
-                changes.push(kev(fd, EVFILT_WRITE, EV_ADD, token));
-            }
-            self.apply(&changes)
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            // kqueue filters are independent: (re-)add the wanted ones and
-            // delete the unwanted one, tolerating ENOENT on the delete.
-            self.add(fd, token, interest)?;
-            let unwanted = match interest {
-                Interest::Read => Some(EVFILT_WRITE),
-                Interest::Write => Some(EVFILT_READ),
-                Interest::ReadWrite => None,
-            };
-            if let Some(filter) = unwanted {
-                let _ = self.apply(&[kev(fd, filter, EV_DELETE, token)]);
-            }
-            Ok(())
-        }
-
-        pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-            // Either filter may be absent; ignore ENOENT.
-            let _ = self.apply(&[kev(fd, EVFILT_READ, EV_DELETE, 0)]);
-            let _ = self.apply(&[kev(fd, EVFILT_WRITE, EV_DELETE, 0)]);
-            Ok(())
-        }
-
-        pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-            let ts;
-            let ts_ptr = match timeout {
-                None => std::ptr::null(),
-                Some(d) => {
-                    ts = Timespec {
-                        tv_sec: d.as_secs() as i64,
-                        tv_nsec: i64::from(d.subsec_nanos()),
-                    };
-                    &ts as *const Timespec
-                }
-            };
-            let mut buf = [kev(0, 0, 0, 0); 256];
-            let n = loop {
-                let ret = unsafe {
-                    kevent(
-                        self.kq,
-                        std::ptr::null(),
-                        0,
-                        buf.as_mut_ptr(),
-                        buf.len() as i32,
-                        ts_ptr,
-                    )
-                };
-                if ret >= 0 {
-                    break ret as usize;
-                }
-                let e = io::Error::last_os_error();
-                if e.kind() != io::ErrorKind::Interrupted {
-                    return Err(e);
-                }
-            };
-            out.clear();
-            for ev in &buf[..n] {
-                out.push(Event {
-                    token: ev.udata,
-                    readable: ev.filter == EVFILT_READ,
-                    writable: ev.filter == EVFILT_WRITE,
-                    closed: ev.flags & (EV_EOF | EV_ERROR) != 0,
-                });
-            }
-            Ok(n)
-        }
-    }
-
-    impl Drop for Backend {
-        fn drop(&mut self) {
-            close_fd(self.kq);
-        }
-    }
+/// `struct epoll_event`. The kernel packs it on x86/x86_64 only (see
+/// `EPOLL_PACKED` in the kernel headers); other architectures use the
+/// natural 16-byte layout.
+#[repr(C)]
+#[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
-#[cfg(all(
-    unix,
-    not(any(target_os = "linux", target_os = "macos", target_os = "freebsd"))
-))]
-mod backend {
-    use super::{Event, Interest, RawFd};
-    use std::io;
-    use std::time::Duration;
-
-    fn unsupported() -> io::Error {
-        io::Error::new(
-            io::ErrorKind::Unsupported,
-            "no epoll/kqueue shim for this Unix flavour; \
-             see crates/serve/src/poll.rs",
-        )
-    }
-
-    pub(super) struct Backend;
-
-    impl Backend {
-        pub fn new() -> io::Result<Self> {
-            Err(unsupported())
-        }
-        pub fn add(&self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
-            Err(unsupported())
-        }
-        pub fn modify(&self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
-            Err(unsupported())
-        }
-        pub fn remove(&self, _: RawFd) -> io::Result<()> {
-            Err(unsupported())
-        }
-        pub fn wait(&self, _: &mut Vec<Event>, _: Option<Duration>) -> io::Result<usize> {
-            Err(unsupported())
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The portable surface
-// ---------------------------------------------------------------------------
-
-/// A readiness poller (epoll or kqueue) plus its registered descriptors.
-#[cfg(unix)]
+/// An epoll instance plus its registered descriptors.
 pub struct Poller {
-    backend: backend::Backend,
+    epfd: RawFd,
 }
 
-#[cfg(unix)]
 impl Poller {
     /// Opens the kernel readiness queue.
     ///
     /// # Errors
-    /// Fails if the kernel refuses (fd exhaustion) or the platform has no
-    /// supported backend.
+    /// Fails if the kernel refuses (fd exhaustion).
     pub fn new() -> io::Result<Self> {
-        Ok(Poller {
-            backend: backend::Backend::new()?,
-        })
+        // SAFETY: no pointers; the returned fd is owned by this `Poller`.
+        let epfd = posix::check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        Ok(Poller { epfd })
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        // RDHUP distinguishes an orderly peer shutdown from silence, so a
+        // half-closed connection is torn down instead of idling forever.
+        let events = EPOLLRDHUP
+            | match interest {
+                Interest::Read => EPOLLIN,
+                Interest::Write => EPOLLOUT,
+                Interest::ReadWrite => EPOLLIN | EPOLLOUT,
+            };
+        let mut ev = EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `ev` is a live stack `epoll_event` the kernel reads during
+        // the call only.
+        posix::check(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) })?;
+        Ok(())
     }
 
     /// Registers `fd` under `token` for `interest`.
@@ -834,7 +418,7 @@ impl Poller {
     /// # Errors
     /// Fails if the descriptor is invalid or already registered.
     pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.backend.add(fd, token, interest)
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Changes the interest set of an already-registered descriptor.
@@ -842,16 +426,20 @@ impl Poller {
     /// # Errors
     /// Fails if the descriptor was never registered.
     pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.backend.modify(fd, token, interest)
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Deregisters a descriptor.
     ///
     /// # Errors
-    /// Fails if the descriptor was never registered (epoll only; kqueue
-    /// treats it as a no-op).
+    /// Fails if the descriptor was never registered.
     pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-        self.backend.remove(fd)
+        // Pre-2.6.9 kernels demanded a non-null event for DEL; passing one
+        // is harmless everywhere.
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `ctl`.
+        posix::check(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) })?;
+        Ok(())
     }
 
     /// Blocks until at least one registered descriptor is ready, the
@@ -861,17 +449,55 @@ impl Poller {
     /// # Errors
     /// Fails only on kernel-level errors; `EINTR` is retried internally.
     pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        self.backend.wait(out, timeout)
+        let timeout_ms: i32 = match timeout {
+            None => -1,
+            Some(d) if d.is_zero() => 0,
+            // Round sub-millisecond timeouts up so a 100µs deadline does
+            // not spin at timeout 0.
+            Some(d) => i32::try_from(d.as_millis()).unwrap_or(i32::MAX).max(1),
+        };
+        let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
+        let n = loop {
+            // SAFETY: the kernel writes at most `buf.len()` events into the
+            // stack buffer during the call.
+            let ret =
+                unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms) };
+            if ret >= 0 {
+                break ret as usize;
+            }
+            let e = io::Error::last_os_error();
+            if e.kind() != io::ErrorKind::Interrupted {
+                return Err(e);
+            }
+            // EINTR: retry with the same timeout (the daemon's signal
+            // handling is polled via the waker, not via EINTR).
+        };
+        out.clear();
+        for ev in &buf[..n] {
+            // Copy out of the (possibly packed) struct before use.
+            let events = ev.events;
+            out.push(Event {
+                token: ev.data,
+                readable: events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP) != 0,
+                writable: events & EPOLLOUT != 0,
+                closed: events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+            });
+        }
+        Ok(n)
+    }
+}
+
+impl Drop for Poller {
+    fn drop(&mut self) {
+        posix::close_fd(self.epfd);
     }
 }
 
 /// The read end of the self-pipe, owned by the event loop.
-#[cfg(unix)]
 pub struct WakeReader {
     fd: RawFd,
 }
 
-#[cfg(unix)]
 impl WakeReader {
     /// The descriptor to register with the [`Poller`].
     pub fn raw_fd(&self) -> RawFd {
@@ -886,19 +512,16 @@ impl WakeReader {
     }
 }
 
-#[cfg(unix)]
 impl Drop for WakeReader {
     fn drop(&mut self) {
         posix::close_fd(self.fd);
     }
 }
 
-#[cfg(unix)]
 struct WakeFd {
     fd: RawFd,
 }
 
-#[cfg(unix)]
 impl Drop for WakeFd {
     fn drop(&mut self) {
         posix::close_fd(self.fd);
@@ -908,13 +531,11 @@ impl Drop for WakeFd {
 /// A cloneable handle that interrupts [`Poller::wait`] from any thread by
 /// writing one byte into a self-pipe. Saturation is fine: a full pipe
 /// means a wake is already pending.
-#[cfg(unix)]
 #[derive(Clone)]
 pub struct Waker {
     fd: Arc<WakeFd>,
 }
 
-#[cfg(unix)]
 impl Waker {
     /// Interrupts the poller (best effort; never blocks).
     pub fn wake(&self) {
@@ -927,7 +548,6 @@ impl Waker {
 ///
 /// # Errors
 /// Fails if the pipe cannot be created (fd exhaustion).
-#[cfg(unix)]
 pub fn waker() -> io::Result<(Waker, WakeReader)> {
     let (r, w) = posix::nonblocking_pipe()?;
     Ok((
@@ -938,7 +558,7 @@ pub fn waker() -> io::Result<(Waker, WakeReader)> {
     ))
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write as _;

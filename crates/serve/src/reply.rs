@@ -8,14 +8,9 @@
 //! the loop routes the message to the connection registered under the
 //! token (or drops it if the peer is gone).
 
+use crate::poll::Waker;
 use crate::wire::Message;
 use crossbeam::channel;
-use std::sync::Arc;
-
-/// Shared wake callback — abstract over [`crate::poll::Waker`] so this
-/// module (and the batcher/engine that embed sinks in jobs) compiles on
-/// platforms without a poll backend.
-pub type WakeFn = Arc<dyn Fn() + Send + Sync>;
 
 /// A cheap, cloneable handle an engine worker uses to deliver one
 /// connection's reply into the event loop.
@@ -23,13 +18,13 @@ pub type WakeFn = Arc<dyn Fn() + Send + Sync>;
 pub struct ReplySink {
     token: u64,
     tx: channel::Sender<(u64, Message)>,
-    wake: Option<WakeFn>,
+    wake: Option<Waker>,
 }
 
 impl ReplySink {
     /// A sink that routes to the connection registered under `token`,
     /// waking the loop after each send.
-    pub fn new(token: u64, tx: channel::Sender<(u64, Message)>, wake: Option<WakeFn>) -> Self {
+    pub fn new(token: u64, tx: channel::Sender<(u64, Message)>, wake: Option<Waker>) -> Self {
         ReplySink { token, tx, wake }
     }
 
@@ -43,7 +38,7 @@ impl ReplySink {
     pub fn send(&self, msg: Message) -> bool {
         let ok = self.tx.send((self.token, msg)).is_ok();
         if let Some(wake) = &self.wake {
-            wake();
+            wake.wake();
         }
         ok
     }
@@ -67,25 +62,36 @@ impl std::fmt::Debug for ReplySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::poll::{waker, Interest, Poller};
+    use std::time::Duration;
 
     #[test]
     fn send_routes_by_token_and_wakes() {
         let (tx, rx) = channel::unbounded();
-        let wakes = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&wakes);
-        let sink = ReplySink::new(
-            42,
-            tx,
-            Some(Arc::new(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            }) as WakeFn),
-        );
+        let (wk, reader) = waker().expect("waker pair");
+        let poller = Poller::new().expect("poller");
+        poller
+            .add(reader.raw_fd(), 5, Interest::Read)
+            .expect("register waker");
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::ZERO))
+            .expect("wait");
+        assert_eq!(n, 0, "no wake before the send");
+
+        let sink = ReplySink::new(42, tx, Some(wk));
         assert!(sink.send(Message::Pong(9)));
         let (token, msg) = rx.recv().expect("routed");
         assert_eq!(token, 42);
         assert!(matches!(msg, Message::Pong(9)));
-        assert_eq!(wakes.load(Ordering::SeqCst), 1);
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .expect("wait");
+        assert_eq!(n, 1);
+        assert!(
+            events[0].token == 5 && events[0].readable,
+            "send must wake the loop"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Each [`crate::event_loop`] shard thread owns one poller plus the
 //! connections assigned to it: accepts, envelope decoding, admission, and
-//! response writes all happen non-blocking behind an epoll/kqueue
+//! response writes all happen non-blocking behind an epoll
 //! [`crate::poll::Poller`], so concurrent connections cost descriptors and
 //! buffers, not stacks. TCP shards each bind their own `SO_REUSEPORT`
 //! listener (the kernel load-balances accepts); the Unix listener lives on
@@ -33,8 +33,8 @@
 use crate::batcher::{BatchConfig, Batcher};
 use crate::engine::{run_engine_worker, EngineConfig, TunerRegistry};
 use crate::metrics::run_metrics_listener;
+use crate::poll::Waker;
 use crate::queue::AdmissionGate;
-use crate::reply::WakeFn;
 use crate::telemetry::ServerStats;
 use crate::wire::DrainSummary;
 use crossbeam::channel;
@@ -70,7 +70,7 @@ pub(crate) const BODY_CHUNK: usize = 256 * 1024;
 pub struct ServerConfig {
     /// TCP listen address (e.g. `127.0.0.1:0`), if any.
     pub tcp: Option<String>,
-    /// Unix socket path, if any (Unix only).
+    /// Unix socket path, if any.
     pub unix: Option<PathBuf>,
     /// Bounded-queue capacity: in-flight requests beyond this are rejected
     /// with `Busy`.
@@ -152,7 +152,7 @@ pub(crate) struct Shared {
     /// A wire `Drain` finished flushing (the daemon main loop exits on it).
     pub(crate) drain_acked: AtomicBool,
     /// Interrupts every shard's poll wait (filled before the loops start).
-    wake: Mutex<Vec<WakeFn>>,
+    wake: Mutex<Vec<Waker>>,
 }
 
 impl Shared {
@@ -169,14 +169,14 @@ impl Shared {
         }
     }
 
-    fn add_wake(&self, f: WakeFn) {
-        self.wake.lock().expect("wake fn poisoned").push(f);
+    fn add_wake(&self, waker: Waker) {
+        self.wake.lock().expect("wakers poisoned").push(waker);
     }
 
     /// Interrupts every shard's poll wait (drain progress, shutdown).
     pub(crate) fn wake_loop(&self) {
-        for f in self.wake.lock().expect("wake fn poisoned").iter() {
-            f();
+        for waker in self.wake.lock().expect("wakers poisoned").iter() {
+            waker.wake();
         }
     }
 }
@@ -265,22 +265,8 @@ impl ServerHandle {
 /// [`crate::builder::ServerBuilder::serve`].
 ///
 /// # Errors
-/// Fails if no socket is configured, a bind fails, or — on platforms with
-/// neither epoll nor kqueue — with [`ErrorKind::Unsupported`].
+/// Fails if no socket is configured or a bind fails.
 pub(crate) fn start_config(config: ServerConfig) -> std::io::Result<ServerHandle> {
-    start_impl(config)
-}
-
-#[cfg(not(unix))]
-fn start_impl(_config: ServerConfig) -> std::io::Result<ServerHandle> {
-    Err(std::io::Error::new(
-        ErrorKind::Unsupported,
-        "the event-driven daemon needs epoll or kqueue; this platform has neither",
-    ))
-}
-
-#[cfg(unix)]
-fn start_impl(config: ServerConfig) -> std::io::Result<ServerHandle> {
     use crate::event_loop::{run_event_loop, Handoff, LoopConfig};
     use crate::poll::{waker, Poller};
     use crate::pool::BufferPool;
@@ -387,16 +373,15 @@ fn start_impl(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // can always interrupt every poll wait) and the full set of Unix
     // handoff lanes (inbox sender + waker per shard) is cloned into every
     // shard before the first accept can happen.
-    let mut lanes: Vec<(channel::Sender<Handoff>, WakeFn)> = Vec::with_capacity(shards);
+    let mut lanes: Vec<(channel::Sender<Handoff>, Waker)> = Vec::with_capacity(shards);
     let mut shard_parts = Vec::with_capacity(shards);
     for _ in 0..shards {
         let poller = Poller::new()?;
-        let (wk, wake_reader) = waker()?;
-        let wake: WakeFn = Arc::new(move || wk.wake());
-        shared.add_wake(Arc::clone(&wake));
+        let (wake, wake_reader) = waker()?;
+        shared.add_wake(wake.clone());
         let (reply_tx, reply_rx) = channel::unbounded();
         let (handoff_tx, handoff_rx) = channel::unbounded();
-        lanes.push((handoff_tx, Arc::clone(&wake)));
+        lanes.push((handoff_tx, wake.clone()));
         shard_parts.push((poller, wake_reader, wake, reply_tx, reply_rx, handoff_rx));
     }
     for (shard, (poller, wake_reader, wake, reply_tx, reply_rx, handoff_rx)) in

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static TERMINATE: AtomicBool = AtomicBool::new(false);
 
 /// `true` once SIGTERM or SIGINT has been received (always `false` if
-/// [`install`] was never called, and on non-Unix platforms).
+/// [`install`] was never called).
 pub fn triggered() -> bool {
     TERMINATE.load(Ordering::SeqCst)
 }
@@ -23,40 +23,25 @@ pub fn trigger() {
     TERMINATE.store(true, Ordering::SeqCst);
 }
 
-#[cfg(unix)]
+const SIGINT: i32 = 2;
+const SIGTERM: i32 = 15;
+
+extern "C" fn on_signal(_signum: i32) {
+    TERMINATE.store(true, Ordering::SeqCst);
+}
+
+/// Registers the latch for SIGTERM and SIGINT.
 #[allow(unsafe_code)]
-mod imp {
-    use super::TERMINATE;
-    use std::sync::atomic::Ordering;
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" fn on_signal(_signum: i32) {
-        TERMINATE.store(true, Ordering::SeqCst);
-    }
-
-    pub fn install() {
-        extern "C" {
-            // POSIX `signal(2)`; the return value is the previous
-            // `sighandler_t`, which we never restore.
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        unsafe {
-            signal(SIGTERM, on_signal);
-            signal(SIGINT, on_signal);
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod imp {
-    pub fn install() {}
-}
-
-/// Registers the latch for SIGTERM and SIGINT (no-op off Unix).
 pub fn install() {
-    imp::install();
+    extern "C" {
+        // POSIX `signal(2)`; the return value is the previous
+        // `sighandler_t`, which we never restore.
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    }
+    unsafe {
+        signal(SIGTERM, on_signal);
+        signal(SIGINT, on_signal);
+    }
 }
 
 #[cfg(test)]

@@ -188,11 +188,10 @@ impl FramePayload {
 
     fn encode_into(&self, out: &mut Vec<u8>) {
         fn frames_into<T: crate::bytes::WireWord>(s: &ImageStack<T>, out: &mut Vec<u8>) {
-            // Frame pixels go out as one bulk little-endian copy per frame
-            // (a zero-copy view on LE hosts) instead of a per-sample loop.
-            let mut scratch = Vec::new();
+            // Frame pixels go out as one bulk copy of a zero-copy
+            // little-endian view per frame instead of a per-sample loop.
             for i in 0..s.frames() {
-                let bytes = crate::bytes::le_bytes(s.frame(i), &mut scratch);
+                let bytes = crate::bytes::le_view(s.frame(i));
                 let crc = crc32(bytes);
                 out.extend_from_slice(bytes);
                 put_u32(out, crc);

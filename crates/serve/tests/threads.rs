@@ -2,10 +2,8 @@
 //! and one per engine worker — batching happens inline on the shards, so
 //! there is no batcher thread — and none of them outlives a drain.
 //!
-//! Reads `/proc/self/task/*/comm`, so it is Linux-only, and it lives in its
-//! own test binary so that no other daemon shares the process.
-
-#![cfg(target_os = "linux")]
+//! Reads `/proc/self/task/*/comm` (the crate builds for Linux only), and it
+//! lives in its own test binary so that no other daemon shares the process.
 
 use preflight_serve::ServerBuilder;
 use std::time::{Duration, Instant};

@@ -333,3 +333,56 @@ fn bad_version_and_unknown_type_are_rejected() {
         Err(WireError::UnknownType(0xEE))
     ));
 }
+
+#[test]
+fn submit_pixels_and_crcs_have_pinned_wire_bytes() {
+    // A golden envelope: the pixel words go out little-endian, each frame
+    // followed by its CRC-32 and the payload by its own. The expected CRCs
+    // are literals (IEEE CRC-32 of the listed bytes), so neither the byte
+    // order nor the checksum can drift without this test noticing.
+    // Layout: head (10) + request/stream ids (16) + Λ, Υ, eos, dtype (4) +
+    // width/height/frames (12), so the first pixel sits at byte 42.
+    let submit = |payload| {
+        encode_message(&Message::Submit(SubmitRequest {
+            request_id: 7,
+            stream_id: 3,
+            lambda: 80,
+            upsilon: 4,
+            eos: true,
+            payload,
+        }))
+    };
+    let u16s = submit(FramePayload::U16(
+        ImageStack::from_vec(1, 1, 2, vec![0x0102u16, 0x0304]).unwrap(),
+    ));
+    assert_eq!(&u16s[..10], b"PFLT\x01\x01\x2c\x00\x00\x00");
+    assert_eq!(u16s[29], 0, "dtype u16");
+    assert_eq!(&u16s[42..44], &[0x02, 0x01]);
+    assert_eq!(&u16s[44..48], &0x04E8_40EBu32.to_le_bytes());
+    assert_eq!(&u16s[48..50], &[0x04, 0x03]);
+    assert_eq!(&u16s[50..54], &0xBCBC_8641u32.to_le_bytes());
+    assert_eq!(&u16s[54..], &0xAA5B_442Au32.to_le_bytes());
+
+    let u32s = submit(FramePayload::U32(
+        ImageStack::from_vec(1, 1, 2, vec![0x0102_0304u32, 0x0506_0708]).unwrap(),
+    ));
+    assert_eq!(&u32s[..10], b"PFLT\x01\x01\x30\x00\x00\x00");
+    assert_eq!(u32s[29], 1, "dtype u32");
+    assert_eq!(&u32s[42..46], &[0x04, 0x03, 0x02, 0x01]);
+    assert_eq!(&u32s[46..50], &0xE951_A406u32.to_le_bytes());
+    assert_eq!(&u32s[50..54], &[0x08, 0x07, 0x06, 0x05]);
+    assert_eq!(&u32s[54..58], &0xC78F_B27Fu32.to_le_bytes());
+    assert_eq!(&u32s[58..], &0xFDB3_AAD5u32.to_le_bytes());
+
+    // And the decoder reads the same bytes back as the same words.
+    for bytes in [u16s, u32s] {
+        let Ok((Message::Submit(req), used)) = decode_message(&bytes) else {
+            panic!("golden envelope must decode");
+        };
+        assert_eq!(used, bytes.len());
+        match req.payload {
+            FramePayload::U16(s) => assert_eq!(s.as_slice(), &[0x0102, 0x0304]),
+            FramePayload::U32(s) => assert_eq!(s.as_slice(), &[0x0102_0304, 0x0506_0708]),
+        }
+    }
+}

@@ -109,7 +109,6 @@ fn tcp_round_trip_is_byte_identical_to_direct_preprocessing() {
     assert_eq!(handle.in_flight(), 0);
 }
 
-#[cfg(unix)]
 #[test]
 fn unix_socket_round_trip_is_byte_identical_and_drains_cleanly() {
     let sock = std::env::temp_dir().join(format!("preflightd-e2e-{}.sock", std::process::id()));

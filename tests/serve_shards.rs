@@ -114,7 +114,6 @@ fn four_shards_serve_byte_identical_repairs() {
     tcp_round_trip_with_shards(4);
 }
 
-#[cfg(unix)]
 #[test]
 fn unix_handoff_spreads_connections_and_stays_identical() {
     let sock = std::env::temp_dir().join(format!("preflightd-shards-{}.sock", std::process::id()));
@@ -193,7 +192,6 @@ fn wire_drain_acks_with_multiple_shards() {
     handle.drain();
 }
 
-#[cfg(unix)]
 #[test]
 fn one_stream_coalesces_across_shards() {
     // Shard 0 round-robins Unix accepts, so two connections land on the
