@@ -418,131 +418,6 @@ impl<T: Copy> ImageStack<T> {
         &mut self.data
     }
 
-    /// Blocked transpose *out*: copies the `tw × th` spatial tile at
-    /// `(tx, ty)` into `scratch` in **series-major** order, so the temporal
-    /// series of tile coordinate `(i, j)` occupies the contiguous range
-    /// `scratch[(j*tw + i) * frames .. (j*tw + i + 1) * frames]`.
-    ///
-    /// The stack is frame-major (stride `width × height` between successive
-    /// samples of one series), which makes per-pixel gathers cache-hostile.
-    /// This routine instead streams each frame's tile rows contiguously and
-    /// scatters into a tile-sized scratch that fits in cache, converting the
-    /// strided traversal of the whole cube into a strided traversal of one
-    /// small block.
-    ///
-    /// `scratch` is cleared and resized to `tw * th * frames` elements.
-    ///
-    /// # Panics
-    /// Panics if the tile extends past the frame.
-    pub fn gather_tile_series(
-        &self,
-        tx: usize,
-        ty: usize,
-        tw: usize,
-        th: usize,
-        scratch: &mut Vec<T>,
-    ) {
-        assert!(
-            tx + tw <= self.width && ty + th <= self.height,
-            "tile out of bounds"
-        );
-        scratch.clear();
-        let n = tw * th * self.frames;
-        if n == 0 {
-            return;
-        }
-        scratch.resize(n, self.data[0]);
-        for f in 0..self.frames {
-            let frame = self.frame(f);
-            for j in 0..th {
-                let row = &frame[(ty + j) * self.width + tx..][..tw];
-                let base = j * tw;
-                for (i, &v) in row.iter().enumerate() {
-                    scratch[(base + i) * self.frames + f] = v;
-                }
-            }
-        }
-    }
-
-    /// Blocked transpose *back*: writes a series-major tile produced by
-    /// [`ImageStack::gather_tile_series`] (possibly modified in between)
-    /// back into the frame-major stack.
-    ///
-    /// # Panics
-    /// Panics if the tile extends past the frame or `scratch` has the wrong
-    /// length.
-    pub fn scatter_tile_series(
-        &mut self,
-        tx: usize,
-        ty: usize,
-        tw: usize,
-        th: usize,
-        scratch: &[T],
-    ) {
-        assert!(
-            tx + tw <= self.width && ty + th <= self.height,
-            "tile out of bounds"
-        );
-        assert_eq!(
-            scratch.len(),
-            tw * th * self.frames,
-            "scratch length must be tile area × frames"
-        );
-        let (width, frames) = (self.width, self.frames);
-        for f in 0..frames {
-            let frame = self.frame_mut(f);
-            for j in 0..th {
-                let row = &mut frame[(ty + j) * width + tx..][..tw];
-                let base = j * tw;
-                for (i, dst) in row.iter_mut().enumerate() {
-                    *dst = scratch[(base + i) * frames + f];
-                }
-            }
-        }
-    }
-
-    /// Applies `f` to the temporal series of every coordinate like
-    /// [`ImageStack::for_each_series`], but via cache-aware series-major
-    /// tiles of side `tile`: each spatial tile is transposed out with
-    /// [`ImageStack::gather_tile_series`], processed as contiguous series,
-    /// and transposed back. `f` receives the coordinate `(x, y)` alongside
-    /// the series; return values are summed.
-    ///
-    /// Results are identical to `for_each_series` for any per-series `f`
-    /// (only the visiting order differs: tiles in row-major order, row-major
-    /// within each tile).
-    ///
-    /// # Panics
-    /// Panics if `tile == 0`.
-    pub fn for_each_series_tiled(
-        &mut self,
-        tile: usize,
-        mut f: impl FnMut(usize, usize, &mut [T]) -> usize,
-    ) -> usize {
-        assert!(tile > 0, "tile side must be positive");
-        if self.frames == 0 || self.frame_len() == 0 {
-            return 0;
-        }
-        let mut scratch = Vec::new();
-        let mut total = 0;
-        let mut ty = 0;
-        while ty < self.height {
-            let th = tile.min(self.height - ty);
-            let mut tx = 0;
-            while tx < self.width {
-                let tw = tile.min(self.width - tx);
-                self.gather_tile_series(tx, ty, tw, th, &mut scratch);
-                for (k, series) in scratch.chunks_exact_mut(self.frames).enumerate() {
-                    total += f(tx + k % tw, ty + k / tw, series);
-                }
-                self.scatter_tile_series(tx, ty, tw, th, &scratch);
-                tx += tw;
-            }
-            ty += th;
-        }
-        total
-    }
-
     /// Copies a `tw × th` spatial tile (all frames) with top-left `(tx, ty)`.
     ///
     /// # Panics
@@ -949,61 +824,6 @@ mod tests {
         let img: Image<u16> = Image::new(3, 4);
         let mut col = Vec::new();
         img.copy_col_into(3, &mut col);
-    }
-
-    #[test]
-    fn stack_tile_series_transpose_roundtrip() {
-        let mut st: ImageStack<u16> = ImageStack::new(5, 4, 3);
-        for i in 0..st.len() {
-            st.as_mut_slice()[i] = i as u16;
-        }
-        let orig = st.clone();
-        let mut scratch = Vec::new();
-        st.gather_tile_series(1, 1, 3, 2, &mut scratch);
-        assert_eq!(scratch.len(), 3 * 2 * 3);
-        // Series of tile coordinate (i, j) is contiguous and matches gather_series.
-        let mut buf = Vec::new();
-        for j in 0..2 {
-            for i in 0..3 {
-                orig.gather_series(1 + i, 1 + j, &mut buf);
-                assert_eq!(&scratch[(j * 3 + i) * 3..][..3], &buf[..], "({i},{j})");
-            }
-        }
-        st.scatter_tile_series(1, 1, 3, 2, &scratch);
-        assert_eq!(st, orig, "gather→scatter must be the identity");
-    }
-
-    #[test]
-    fn stack_for_each_series_tiled_matches_untiled() {
-        let mut a: ImageStack<u16> = ImageStack::new(7, 5, 4);
-        for i in 0..a.len() {
-            a.as_mut_slice()[i] = (i as u16).wrapping_mul(2654) ^ 0x1234;
-        }
-        let mut b = a.clone();
-        let op = |s: &mut [u16]| -> usize {
-            s.iter_mut().for_each(|v| *v = v.wrapping_add(7) ^ 0x40);
-            1
-        };
-        let na = a.for_each_series(op);
-        // Tile side 3 does not divide either dimension: exercises edge tiles.
-        let nb = b.for_each_series_tiled(3, |_x, _y, s| op(s));
-        assert_eq!(na, nb);
-        assert_eq!(a, b, "tiled traversal must be bit-identical");
-    }
-
-    #[test]
-    fn stack_for_each_series_tiled_passes_coordinates() {
-        let mut st: ImageStack<u16> = ImageStack::new(4, 3, 2);
-        let mut seen = Vec::new();
-        st.for_each_series_tiled(2, |x, y, _s| {
-            seen.push((x, y));
-            0
-        });
-        seen.sort_unstable();
-        let mut want: Vec<(usize, usize)> =
-            (0..3).flat_map(|y| (0..4).map(move |x| (x, y))).collect();
-        want.sort_unstable();
-        assert_eq!(seen, want, "every coordinate visited exactly once");
     }
 
     #[test]

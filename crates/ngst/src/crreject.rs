@@ -103,65 +103,18 @@ impl CrRejector {
     /// total number of rejected jumps ("comparison and integration to obtain
     /// one image per baseline").
     pub fn reject_stack(&self, stack: &ImageStack<u16>, dt: f64) -> (Image<f32>, usize) {
-        let (rate, jumps, _) = self.reject_stack_with(stack, dt, |_| 0);
-        (rate, jumps)
-    }
-
-    /// [`reject_stack`](Self::reject_stack) with an *integrated*
-    /// preprocessing hook: `preprocess` runs on each coordinate's gathered
-    /// series right before rejection, inside the same per-coordinate pass.
-    ///
-    /// This realizes the paper's closing recommendation — *"integrating our
-    /// algorithm into conforming applications while in the design phase
-    /// itself, rather than as a separate preprocessing layer … can further
-    /// lower the overhead"*: the separate-layer pipeline gathers and
-    /// scatters every temporal series twice (once to preprocess the stack,
-    /// once to reject), the integrated form does a single gather and no
-    /// scatter. The input stack is left untouched.
-    ///
-    /// Returns the rate image, the total rejected jumps, and the total
-    /// samples the preprocessing hook modified.
-    pub fn reject_stack_with(
-        &self,
-        stack: &ImageStack<u16>,
-        dt: f64,
-        mut preprocess: impl FnMut(&mut [u16]) -> usize,
-    ) -> (Image<f32>, usize, usize) {
-        let (rate, jumps, repair_map) =
-            self.reject_stack_mapped(stack, dt, |_, _, s| preprocess(s));
-        let corrected = repair_map.as_slice().iter().map(|&c| usize::from(c)).sum();
-        (rate, jumps, corrected)
-    }
-
-    /// [`reject_stack_with`](Self::reject_stack_with) that additionally
-    /// returns the **repair map**: per coordinate, how many temporal
-    /// samples the preprocessing hook modified. Science consumers use it
-    /// as a provenance/quality layer — a pixel whose series needed many
-    /// repairs deserves less trust than an untouched one.
-    ///
-    /// The hook receives `(x, y, series)` and returns its modification
-    /// count (saturated into `u16` in the map).
-    pub fn reject_stack_mapped(
-        &self,
-        stack: &ImageStack<u16>,
-        dt: f64,
-        mut preprocess: impl FnMut(usize, usize, &mut [u16]) -> usize,
-    ) -> (Image<f32>, usize, Image<u16>) {
         let mut rate = Image::new(stack.width(), stack.height());
-        let mut repair_map = Image::new(stack.width(), stack.height());
         let mut total_jumps = 0;
         let mut series = Vec::with_capacity(stack.frames());
         for y in 0..stack.height() {
             for x in 0..stack.width() {
                 stack.gather_series(x, y, &mut series);
-                let repaired = preprocess(x, y, &mut series);
-                repair_map.set(x, y, repaired.min(usize::from(u16::MAX)) as u16);
                 let r = self.reject_series(&series, dt);
                 rate.set(x, y, r.rate as f32);
                 total_jumps += r.jumps.len();
             }
         }
-        (rate, total_jumps, repair_map)
+        (rate, total_jumps)
     }
 
     /// Integrates a rate image back into the final counts frame the master

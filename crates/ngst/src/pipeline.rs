@@ -26,9 +26,7 @@
 //! the run's [`SupervisionOutcome`].
 
 use crate::crreject::CrRejector;
-use preflight_core::{
-    AlgoNgst, Exec, Image, ImageStack, Kernel, Obs, SeriesPreprocessor, VoterScratch,
-};
+use preflight_core::{AlgoNgst, Image, ImageStack, Preprocessor};
 use preflight_faults::{ChaosModel, ChaosOutcome, Correlated, FaultError, Uncorrelated};
 use preflight_rice::RiceCodec;
 use preflight_supervisor::{
@@ -41,11 +39,6 @@ use std::time::{Duration, Instant};
 
 /// The stage name tiles are supervised under (appears in recovery events).
 pub const TILE_STAGE: &str = "ngst-tile";
-
-/// Side of the spatial blocks the separate layer transposes a tile's
-/// series out in: a 32×32 block of a 128-frame `u16` stack occupies
-/// 256 KiB of scratch, small enough to stay cache-resident.
-const TRANSPOSE_TILE: usize = 32;
 
 /// Bit-flip corruption applied to a tile between fragmentation and
 /// processing.
@@ -137,11 +130,6 @@ pub struct PipelineConfig {
     pub tile_size: usize,
     /// The input preprocessing stage, if enabled.
     pub preprocess: Option<AlgoNgst>,
-    /// Run the preprocessing *inside* the CR-rejection pass (single gather
-    /// per coordinate, no scatter) instead of as a separate layer — the
-    /// paper's closing recommendation for lowering overhead. Results are
-    /// bit-identical; only the cost differs.
-    pub integrated: bool,
     /// Fault injection in transit, if enabled.
     pub transit_fault: Option<TransitFault>,
     /// Base seed for the per-tile fault injection.
@@ -158,7 +146,6 @@ impl Default for PipelineConfig {
             workers: 16,
             tile_size: 128,
             preprocess: None,
-            integrated: false,
             transit_fault: None,
             seed: 0,
             frame_interval_s: 15.625,
@@ -179,8 +166,9 @@ pub struct PipelineReport {
     /// Samples modified by the preprocessing stage across all tiles.
     pub corrected_samples: usize,
     /// The provenance/quality layer: per coordinate, how many temporal
-    /// samples the preprocessing stage repaired (all zeros when
-    /// preprocessing is disabled).
+    /// samples differ from the faulted input the preprocessing stage
+    /// received (saturating at `u16::MAX`; all zeros when preprocessing
+    /// is disabled).
     pub repair_map: Image<u16>,
     /// Ramp jumps rejected by the CR stage across all tiles.
     pub cr_jumps_rejected: usize,
@@ -943,42 +931,18 @@ fn compute_tile(
         }
     }
 
-    let w = job.stack.width();
-    let h = job.stack.height();
-    let stage = ladder.stage(job.level);
-    let (rate, jumps, repair_map) = match stage {
-        Some(LadderStage::Algo(algo)) if c.integrated => {
-            rejector.reject_stack_mapped(&job.stack, c.frame_interval_s, |_, _, series| {
-                algo.preprocess(series)
-            })
-        }
-        Some(LadderStage::Passthrough) | None => {
-            let (rate, jumps) = rejector.reject_stack(&job.stack, c.frame_interval_s);
-            (rate, jumps, Image::new(w, h))
-        }
+    let repair_map = match ladder.stage(job.level) {
+        Some(LadderStage::Passthrough) | None => Image::new(job.stack.width(), job.stack.height()),
         Some(stage) => {
-            // Separate layer: preprocess the whole tile first, recording
-            // per-coordinate repair counts. The traversal is the cache-aware
-            // series-major one (contiguous series via blocked transpose)
-            // with a reused scratch arena — bit-identical to the naive
-            // per-pixel gather, just faster.
-            let mut map = Image::new(w, h);
-            let mut scratch = VoterScratch::new();
-            let mut cx = Exec {
-                kernel: Kernel::default(),
-                scratch: &mut scratch,
-                obs: &Obs::disabled(),
-            };
-            job.stack
-                .for_each_series_tiled(TRANSPOSE_TILE, |x, y, series| {
-                    let n = stage.preprocess_in(series, &mut cx);
-                    map.set(x, y, n.min(65_535) as u16);
-                    n
-                });
-            let (rate, jumps) = rejector.reject_stack(&job.stack, c.frame_interval_s);
-            (rate, jumps, map)
+            // Separate layer: the band driver repairs the tile in place;
+            // the map counts the samples that now differ from the faulted
+            // copy.
+            let faulted = job.stack.clone();
+            Preprocessor::new(stage).run(&mut job.stack);
+            changed_samples(&faulted, &job.stack)
         }
     };
+    let (rate, jumps) = rejector.reject_stack(&job.stack, c.frame_interval_s);
     let corrected = repair_map.as_slice().iter().map(|&v| usize::from(v)).sum();
     TileResult {
         unit: job.unit,
@@ -995,11 +959,24 @@ fn compute_tile(
     }
 }
 
+/// Per coordinate, how many samples of `after` differ from `before`,
+/// saturating at `u16::MAX`.
+fn changed_samples(before: &ImageStack<u16>, after: &ImageStack<u16>) -> Image<u16> {
+    let mut map: Image<u16> = Image::new(after.width(), after.height());
+    for f in 0..after.frames() {
+        let samples = after.frame(f).iter().zip(before.frame(f));
+        for (m, (a, b)) in map.as_mut_slice().iter_mut().zip(samples) {
+            *m = m.saturating_add(u16::from(a != b));
+        }
+    }
+    map
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detector::{DetectorConfig, UpTheRamp};
-    use preflight_core::{Sensitivity, Upsilon};
+    use preflight_core::{NgstConfig, Sensitivity, SeriesPreprocessor, Upsilon};
     use preflight_faults::{seeded_rng, ChaosPlan};
     use preflight_supervisor::RetryPolicy;
 
@@ -1181,28 +1158,71 @@ mod tests {
         }
     }
 
+    /// `compute_tile` against a per-coordinate reference for every rung:
+    /// gather the series, run the rung's `preprocess`, count the changed
+    /// samples, reject. The 37×23 tile has 851 lanes: 13 full 64-lane
+    /// groups and a partial group of 19.
     #[test]
-    fn integrated_preprocessing_is_bit_identical_to_separate_layer() {
-        let stack = flat_stack(32, 32, 32);
-        let base = PipelineConfig {
-            workers: 3,
-            tile_size: 16,
-            transit_fault: Some(TransitFault::Uncorrelated(0.01)),
-            preprocess: Some(AlgoNgst::new(Upsilon::FOUR, Sensitivity::new(80).unwrap())),
-            seed: 33,
-            ..PipelineConfig::default()
+    fn tile_repair_matches_per_coordinate_reference() {
+        let (w, h) = (37, 23);
+        let mut faulted = flat_stack(w, h, 32);
+        Uncorrelated::new(0.01)
+            .expect("valid rate")
+            .inject_stack(&mut faulted, &mut seeded_rng(5));
+        let c = PipelineConfig::default();
+        let rejector = CrRejector::new();
+        let algo = |passes| {
+            let config = NgstConfig {
+                passes,
+                ..NgstConfig::default()
+            };
+            AlgoNgst::with_config(Upsilon::FOUR, Sensitivity::new(80).unwrap(), config)
         };
-        let separate = pipeline(base).run(&stack).expect("separate run");
-        let integrated = pipeline(PipelineConfig {
-            integrated: true,
-            ..base
-        })
-        .run(&stack)
-        .expect("integrated run");
-        assert_eq!(integrated.rate, separate.rate);
-        assert_eq!(integrated.integrated, separate.integrated);
-        assert_eq!(integrated.corrected_samples, separate.corrected_samples);
-        assert_eq!(integrated.cr_jumps_rejected, separate.cr_jumps_rejected);
+        for (passes, level) in [
+            (1, FtLevel::AlgoNgst),
+            (3, FtLevel::AlgoNgst),
+            (1, FtLevel::BitVoter),
+            (1, FtLevel::MedianSmoother),
+        ] {
+            let ladder = DegradationLadder::new(Some(algo(passes)));
+            let stage = ladder.stage(level).expect("rung");
+            let mut job = TileJob {
+                unit: 0,
+                attempt: 0,
+                tx: 0,
+                ty: 0,
+                level,
+                stack: faulted.clone(),
+                seed: 0,
+            };
+            let got = compute_tile(&rejector, &c, TransitModel::None, &ladder, &mut job);
+
+            let mut rate = Image::new(w, h);
+            let mut map = Image::new(w, h);
+            let mut counts = Image::new(w, h);
+            let mut jumps = 0;
+            let mut series = Vec::new();
+            for y in 0..h {
+                for x in 0..w {
+                    faulted.gather_series(x, y, &mut series);
+                    let before = series.clone();
+                    counts.set(x, y, stage.preprocess(&mut series) as u16);
+                    let changed = before.iter().zip(&series).filter(|(a, b)| a != b);
+                    map.set(x, y, changed.count() as u16);
+                    let r = rejector.reject_series(&series, c.frame_interval_s);
+                    rate.set(x, y, r.rate as f32);
+                    jumps += r.jumps.len();
+                }
+            }
+            let rung = format!("{level:?} passes={passes}");
+            assert!(map.as_slice().iter().any(|&n| n > 0), "{rung}: no repair");
+            assert_eq!(got.repair_map, map, "{rung}: repair map");
+            assert_eq!(got.rate, rate, "{rung}: rate");
+            assert_eq!(got.jumps, jumps, "{rung}: jumps");
+            if passes == 1 {
+                assert_eq!(got.repair_map, counts, "{rung}: map vs preprocess counts");
+            }
+        }
     }
 
     #[test]

@@ -148,6 +148,25 @@ fn open_idle_herd(addr: SocketAddr, count: usize) -> Vec<TcpStream> {
     herd
 }
 
+/// Polls the `serve_open_connections` gauge for up to 30 s until it
+/// reads at least `n`, returning the last reading. `connect` returns once
+/// the kernel queues a connection, not once a shard accepts it, so the
+/// gauge can trail a herd that `open_idle_herd` has just opened.
+fn wait_for_open(probe: &mut Client, n: usize) -> i64 {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let open = probe
+            .stats()
+            .expect("stats over the wire")
+            .gauge("serve_open_connections", None)
+            .expect("open-connection gauge is exported");
+        if open >= n as i64 || Instant::now() >= deadline {
+            return open;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 #[test]
 fn idle_herd_plus_active_traffic_stays_bit_identical() {
     let _ = raise_nofile_limit();
@@ -161,12 +180,7 @@ fn idle_herd_plus_active_traffic_stays_bit_identical() {
     assert_eq!(herd.len(), conns, "every idle connection must be held");
 
     // The daemon must agree it is carrying the whole herd.
-    let mut probe = daemon.client();
-    let open = probe
-        .stats()
-        .expect("stats over the wire")
-        .gauge("serve_open_connections", None)
-        .expect("open-connection gauge is exported");
+    let open = wait_for_open(&mut daemon.client(), conns);
     assert!(
         open >= conns as i64,
         "daemon reports {open} open connections, expected at least {conns}"
@@ -235,30 +249,18 @@ fn over_cap_connection_gets_busy_not_a_silent_close() {
     let cap = soak_conns();
     let daemon = Daemon::spawn(&["--max-conns", &cap.to_string()]);
 
-    // `connect` returns once the kernel queues the connection, not once a
-    // shard accepts it, and each reuseport shard accepts from its own
-    // queue. So hold `cap − 1` idle sockets plus one stats client, and
-    // wait until the daemon reports all `cap` open before probing: only
-    // then is the next connection the over-cap one.
+    // Each reuseport shard accepts from its own queue. So hold `cap − 1`
+    // idle sockets plus one stats client, and wait until the daemon
+    // reports all `cap` open before probing: only then is the next
+    // connection the over-cap one.
     let herd = open_idle_herd(daemon.addr, cap - 1);
     assert_eq!(herd.len(), cap - 1);
     let mut probe = daemon.client();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let open = probe
-            .stats()
-            .expect("stats over the wire")
-            .gauge("serve_open_connections", None)
-            .expect("open-connection gauge is exported");
-        if open == cap as i64 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "daemon reports {open} open connections, never the cap {cap}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let open = wait_for_open(&mut probe, cap);
+    assert_eq!(
+        open, cap as i64,
+        "daemon reports {open} open connections, never the cap {cap}"
+    );
 
     // One more: the daemon must answer Busy carrying the cap, then close —
     // never close silently.

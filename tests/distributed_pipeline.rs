@@ -141,11 +141,10 @@ fn single_pixel_tiles_are_legal() {
     assert_eq!(rep.tiles, 16);
 }
 
-/// Flight-like geometry (quarter-scale detector, half readouts): run with
-/// `cargo test -p preflight-system-tests -- --ignored` when you have a few
-/// minutes and ~200 MB of RAM to spare.
+/// Flight-like geometry (quarter-scale detector, half readouts): the only
+/// test at the flight tile size, 128×128 tiles of 16 bands of 1024 lanes
+/// each. Under a second in release, a few seconds in debug.
 #[test]
-#[ignore = "flight-scale run; invoke explicitly with --ignored"]
 fn flight_scale_baseline_processes_end_to_end() {
     let st = stack(99, 512, 512, 32);
     let rep = pipeline(PipelineConfig {
@@ -204,25 +203,4 @@ fn repair_map_localizes_the_damage() {
     .run(&st)
     .expect("pipeline run");
     assert!(plain.repair_map.as_slice().iter().all(|&v| v == 0));
-}
-
-#[test]
-fn repair_map_identical_between_integrated_and_separate() {
-    let st = stack(8, 32, 16, 16);
-    let base = PipelineConfig {
-        workers: 2,
-        tile_size: 16,
-        transit_fault: Some(TransitFault::Uncorrelated(0.01)),
-        preprocess: Some(AlgoNgst::new(Upsilon::FOUR, Sensitivity::new(80).unwrap())),
-        seed: 5,
-        ..PipelineConfig::default()
-    };
-    let sep = pipeline(base).run(&st).expect("pipeline run");
-    let int = pipeline(PipelineConfig {
-        integrated: true,
-        ..base
-    })
-    .run(&st)
-    .expect("pipeline run");
-    assert_eq!(sep.repair_map, int.repair_map);
 }
